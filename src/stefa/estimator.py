@@ -3,9 +3,13 @@
 Fits the semiparametric tensor factor model by iteratively projected SVD:
 every mode update of the classical HOOI power iteration is projected onto
 the sieve span of that mode's covariates, and the fitted core is rotated so
-its mode-wise Gram matrices are diagonal with decreasing entries.  Modes
-without covariates fall back to unprojected updates, so with no designs at
-all the machinery reduces to plain HOOI.
+its mode-wise Gram matrices are diagonal with decreasing entries.  With B_m
+the orthonormal sieve basis of mode m, a projected update satisfies
+``P_m Y_(m) (x_j U_j) = B_m Z_(m) (x_j W_j)`` where Z is Y contracted with
+every ``B_m^T`` and ``U_j = B_j W_j``; so the iteration runs as HOOI on the
+sieve-compressed tensor Z, and its factors are lifted by B_m at the end.
+Modes without covariates stay uncompressed (unprojected updates), so with no
+designs at all the machinery reduces to plain HOOI, which shares the loop.
 """
 
 from __future__ import annotations
@@ -145,38 +149,65 @@ def _check_design_shapes(Y, designs) -> None:
                              f"extent is {Y.shape[m]}")
 
 
-def _check_rank_bounds(ranks, dims) -> tuple:
+def _check_span_ranks(designs, ranks) -> tuple:
+    """Per-mode ranks as ints; a covariate mode's rank must fit its sieve span."""
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != len(dims):
-        raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
-    for m, (r, d) in enumerate(zip(ranks, dims)):
-        if not 1 <= r <= d:
-            raise ValueError(f"rank {r} for mode {m} not in [1, {d}]")
+    if len(ranks) != len(designs):
+        raise ValueError(f"{len(ranks)} ranks given for order-{len(designs)} tensor")
+    for m, d in enumerate(designs):
+        if d is not None and ranks[m] > d.rank:
+            raise RankExceedsSpanError(
+                f"rank exceeds sieve span (mode {m}: rank {ranks[m]} > span {d.rank})")
     return ranks
 
 
-def _compress(Y: np.ndarray, designs, skip=()) -> np.ndarray:
-    """Contract every covariate mode (except those in ``skip``) with its basis."""
-    mats = {}
-    for m, d in enumerate(designs):
-        if d is not None and m not in skip:
-            mats[m] = d.basis.T
+def _check_iteration_controls(max_iter, tol) -> None:
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _compress(Y: np.ndarray, designs) -> np.ndarray:
+    """Contract every covariate mode with the transpose of its sieve basis."""
+    mats = {m: d.basis.T for m, d in enumerate(designs) if d is not None}
     return multi_mode_product(Y, mats) if mats else Y
 
 
-def _mode_update(Y, units, designs, mode, rank):
-    """One projected power-iteration update: orthonormal factor for ``mode``."""
-    mats = {j: units[j].T for j in range(Y.ndim) if j != mode and units[j] is not None}
-    contracted = multi_mode_product(Y, mats)
-    mat = matricize(contracted, mode)
-    d = designs[mode]
-    if d is not None:
-        mat = projector_apply(d, mat)
-    return top_left_singular_vectors(mat, rank)
+def _mode_update(T, units, mode, rank):
+    """One power-iteration update: orthonormal factor for ``mode``.
+
+    ``T`` is contracted with every other mode's unit; a mode whose unit is
+    None is left as it is.
+    """
+    mats = {j: units[j].T for j in range(T.ndim) if j != mode and units[j] is not None}
+    contracted = multi_mode_product(T, mats)
+    return top_left_singular_vectors(matricize(contracted, mode), rank)
 
 
-def _sweep_changes(old, new, active):
-    return max(subspace_distance(new[m], old[m]) for m in active)
+def _power_iteration(T, units, ranks, order, active, max_iter, tol,
+                     objective=None):
+    """Gauss-Seidel power iteration (HOOI sweeps) on ``T``; HOOI runs it on
+    the observed tensor, IP-SVD on the sieve-compressed one.
+
+    Each sweep replaces ``units[m]``, in place, for every m in ``order``.
+    Returns ``(changes, objectives, converged)``: per sweep, the largest
+    subspace change over the modes in ``active`` and, when ``objective`` is
+    given, ``objective(units)``.  The iteration stops after the first change
+    below ``tol`` or after ``max_iter`` sweeps.
+    """
+    changes, objectives = [], []
+    for _ in range(max_iter):
+        prev = [units[m] for m in active]
+        for m in order:
+            units[m] = _mode_update(T, units, m, ranks[m])
+        changes.append(max(subspace_distance(units[m], p)
+                           for m, p in zip(active, prev)))
+        if objective is not None:
+            objectives.append(objective(units))
+        if changes[-1] < tol:
+            return changes, objectives, True
+    return changes, objectives, False
 
 
 # ---------------------------------------------------------------------------
@@ -185,40 +216,39 @@ def _sweep_changes(old, new, active):
 def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit:
     """Higher-order orthogonal iteration with HOSVD initialization.
 
-    Loadings are scaled so ``A^T A / I_m`` is the identity, and the final
-    core is rotated so each mode-wise core Gram is diagonal with decreasing
-    entries (the same calibration used by the projected estimator).
+    The sweeps run on the observed tensor itself, in the power-iteration
+    loop that :func:`ipsvd_iterate` runs on the sieve-compressed tensor, and
+    ``objective_trace`` records the captured energy before the first sweep
+    and after each one.  Loadings are scaled so ``A^T A / I_m`` is the
+    identity, and the final core is rotated so each mode-wise core Gram is
+    diagonal with decreasing entries (the same calibration used by the
+    projected estimator).  ``max_iter`` must be an integer >= 1 and ``tol``
+    finite and >= 0.
     """
+    _check_iteration_controls(max_iter, tol)
     Y = np.asarray(Y, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("tensor has non-finite entries")
     ranks = check_tucker_ranks(ranks, Y.shape)
-    order = Y.ndim
-    units = [top_left_singular_vectors(matricize(Y, m), ranks[m]) for m in range(order)]
-    designs = [None] * order
+    modes = range(Y.ndim)
+    units = [top_left_singular_vectors(matricize(Y, m), ranks[m]) for m in modes]
 
     def objective(us):
         compressed = multi_mode_product(Y, {m: u.T for m, u in enumerate(us)})
         return float(np.prod(Y.shape) * np.sum(compressed ** 2))
 
     trace = [objective(units)]
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        prev = [u.copy() for u in units]
-        for m in range(order):
-            units[m] = _mode_update(Y, units, designs, m, ranks[m])
-        trace.append(objective(units))
-        if _sweep_changes(prev, units, range(order)) < tol:
-            converged = True
-            break
+    changes, objectives, converged = _power_iteration(
+        Y, units, ranks, modes, modes, max_iter, tol, objective)
+    trace += objectives
 
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
     loadings = [u * s for u, s in zip(units, scales)]
     core = estimate_core(Y, loadings)
     core, loadings, _ = calibrate(core, loadings)
     return HooiFit(core=core, loadings=loadings, ranks=ranks,
-                   iterations_used=it, objective_trace=trace, converged=converged)
+                   iterations_used=len(changes), objective_trace=trace,
+                   converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +260,14 @@ def ipsvd_init(Y: np.ndarray, designs, ranks) -> list:
     Y = np.asarray(Y, dtype=float)
     designs = _normalize_designs(designs, Y.ndim)
     _check_design_shapes(Y, designs)
-    ranks = _check_rank_bounds(ranks, Y.shape)
-    for m, d in enumerate(designs):
-        if d is not None and ranks[m] > d.rank:
-            raise RankExceedsSpanError(
-                f"rank exceeds sieve span (mode {m}: rank {ranks[m]} > span {d.rank})")
+    ranks = _check_span_ranks(designs, ranks)
 
     compressed = _compress(Y, designs)
     factors = []
-    for m in range(Y.ndim):
-        d = designs[m]
+    for m, d in enumerate(designs):
+        u = top_left_singular_vectors(matricize(compressed, m), ranks[m])
         if d is not None:
-            small = top_left_singular_vectors(matricize(compressed, m), ranks[m])
-            u = fix_signs(d.basis @ small)
-        else:
-            partial = _compress(Y, designs, skip=(m,))
-            u = top_left_singular_vectors(matricize(partial, m), ranks[m])
+            u = fix_signs(d.basis @ u)
         factors.append(u * np.sqrt(Y.shape[m]))
     return factors
 
@@ -254,30 +276,47 @@ def ipsvd_iterate(Y: np.ndarray, designs, ranks, init, max_iter: int = 50,
                   tol: float = 1e-8, update_order=None, fixed_modes=()):
     """Projected power iterations (Gauss-Seidel over modes) from a warm start.
 
+    The sweeps run as HOOI on the sieve-compressed tensor Z, which is Y
+    contracted with ``B_m^T`` on every covariate mode m, starting from the
+    coordinates ``W_m = B_m^T U_m`` of the warm start ``U_m = init[m] /
+    sqrt(I_m)`` (a warm start outside a sieve span enters through its
+    projection onto it).  Each sweep's subspace change is measured on the
+    W_m, which the orthonormal B_m leaves unchanged, and the factors are
+    lifted as ``fix_signs(B_m W_m) * sqrt(I_m)`` at the end.  Modes without
+    a design stay uncompressed.  Modes in ``fixed_modes`` keep their warm
+    start, which is contracted into Z once instead of in every sweep.
+    ``update_order`` lists the updated modes in the order of the sweep.
+
     Returns ``(factors, trace, converged)`` where ``trace`` holds the maximal
     per-sweep subspace change.
     """
     Y = np.asarray(Y, dtype=float)
     designs = _normalize_designs(designs, Y.ndim)
-    ranks = _check_rank_bounds(ranks, Y.shape)
+    ranks = _check_span_ranks(designs, ranks)
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
-    units = [g / s for g, s in zip(init, scales)]
     active = [m for m in range(Y.ndim) if m not in fixed_modes]
     order = list(update_order) if update_order is not None else active
 
-    trace = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        prev = [u.copy() for u in units]
-        for m in order:
-            units[m] = _mode_update(Y, units, designs, m, ranks[m])
-        change = _sweep_changes(prev, units, active)
-        trace.append(change)
-        if change < tol:
-            converged = True
-            break
-    factors = [u * s for u, s in zip(units, scales)]
+    units = [None] * Y.ndim
+    mats = {}
+    for m, (g, d) in enumerate(zip(init, designs)):
+        u = g / scales[m]
+        if m not in active:
+            mats[m] = u.T
+        elif d is not None:
+            mats[m] = d.basis.T
+            units[m] = d.basis.T @ u
+        else:
+            units[m] = u
+    compressed = multi_mode_product(Y, mats)
+    trace, _, converged = _power_iteration(compressed, units, ranks, order,
+                                           active, max_iter, tol)
+
+    factors = list(init)
+    for m in active:
+        d = designs[m]
+        u = units[m] if d is None else fix_signs(d.basis @ units[m])
+        factors[m] = u * scales[m]
     return factors, trace, converged
 
 
@@ -369,8 +408,11 @@ def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
     with :func:`estimate_ranks`: per mode, the count of projected-Gram
     eigenvalues above the noise edge, with the noise variance measured on the
     complement of the sieve spans (the eigenvalue ratio when no mode has a
-    design).
+    design).  ``max_iter`` must be an integer >= 1 and ``tol`` finite and
+    >= 0; a fit that uses all ``max_iter`` sweeps without a subspace change
+    below ``tol`` carries the flag ``"not converged after N sweeps"``.
     """
+    _check_iteration_controls(max_iter, tol)
     Y = np.asarray(Y, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("tensor has non-finite entries")
@@ -384,6 +426,8 @@ def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
 
     if ranks is None:
         ranks = estimate_ranks(Y, designs, skip_modes=identity_modes)
+    # the pipeline's one rank check; it precedes the identity extents, which
+    # may exceed the product of the other ranks
     ranks = list(check_tucker_ranks(ranks, Y.shape))
     for m in identity_modes:
         ranks[m] = Y.shape[m]
@@ -412,6 +456,8 @@ def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
 
     if all(d is None for d in designs):
         flags.append("no sieve projection")
+    if not converged:
+        flags.append(f"not converged after {len(trace)} sweeps")
 
     diagnostics = _fit_diagnostics(Y, designs, core, factors, gammas, identity_modes)
     return StefaFit(core=core, g_loadings=factors, a_loadings=a_loadings,
@@ -532,7 +578,20 @@ def _write_matrix_csv(path, mat, prefix="c"):
 
 
 def _read_matrix_csv(path):
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    # ndmin=2 keeps a one-column file (a rank-1 mode) a column
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+_REPORT_KEYS = ("ranks", "iterations_used", "subspace_change_trace",
+                "converged", "identity_modes", "flags", "diagnostics", "basis")
+_BASIS_KEYS = ("family", "degree", "include_intercept", "domain")
+
+
+def _require_keys(mapping, keys, where) -> None:
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise ValueError(f"{where} lacks required key(s) "
+                         f"{', '.join(repr(k) for k in missing)}")
 
 
 def save_fit(fit: StefaFit, designs, out_dir) -> None:
@@ -572,10 +631,18 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
 
 
 def load_fit(fit_dir):
-    """Read a fit directory back into ``(StefaFit, designs)``."""
+    """Read a fit directory back into ``(StefaFit, designs)``.
+
+    Raises ``ValueError`` when ``report.json`` lacks a required key or when
+    the core's extents disagree with the ranks or the loading shapes.
+    """
     with open(os.path.join(fit_dir, "report.json")) as fh:
         report = json.load(fh)
+    _require_keys(report, _REPORT_KEYS, "report.json")
     core = read_tns(os.path.join(fit_dir, "core.tns"))
+    if tuple(report["ranks"]) != core.shape:
+        raise ValueError(f"report.json ranks {report['ranks']} disagree with "
+                         f"the core extents {list(core.shape)}")
     order = core.ndim
     g, a, gamma, coeffs, designs = [], [], [], [], []
     for m in range(order):
@@ -584,10 +651,19 @@ def load_fit(fit_dir):
         gamma.append(_read_matrix_csv(os.path.join(fit_dir, f"gamma_mode{m + 1}.csv")))
         coeff_path = os.path.join(fit_dir, f"sieve_coeffs_mode{m + 1}.csv")
         coeffs.append(_read_matrix_csv(coeff_path) if os.path.exists(coeff_path) else None)
+        # every loading is I_m x (core extent); G fixes I_m
+        expected = (g[m].shape[0], core.shape[m])
+        for name, mat in (("g_loadings", g[m]), ("a_loadings", a[m]),
+                          ("gamma", gamma[m])):
+            if mat.shape != expected:
+                raise ValueError(f"{name}_mode{m + 1}.csv has shape {mat.shape}; "
+                                 f"the core extent of mode {m + 1} is "
+                                 f"{core.shape[m]}")
         info = report["basis"].get(str(m))
         if info is None:
             designs.append(None)
         else:
+            _require_keys(info, _BASIS_KEYS, f"report.json basis for mode {m + 1}")
             spec = BasisSpec(family=info["family"], degree=info["degree"],
                              include_intercept=info["include_intercept"],
                              domain=tuple(info["domain"]))

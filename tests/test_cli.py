@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def test_fit_without_covariates_flags_plain_mode(workdir):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert "no sieve projection" in report["flags"]
+
+
+@pytest.mark.parametrize("option", [["--max-iter", "0"], ["--max-iter", "-3"],
+                                    ["--tol", "nan"], ["--tol", "-1"]])
+def test_fit_rejects_bad_iteration_controls(workdir, capsys, option):
+    root, _ = workdir
+    out = root / "bad_controls"
+    code = main(["fit", "--tensor", str(root / "y.tns"), *cov_args(root),
+                 "--ranks", "2,2,2", *option, "--out", str(out)])
+    assert code == 2
+    assert option[0][2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_bad_basis_and_bad_covariate_spec(workdir, capsys):
@@ -128,6 +141,20 @@ def test_predict_vanilla_and_errors(workdir, capsys):
                  "--new-covariates", str(root / "x1.csv"),
                  "--bandwidth", "-2", "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_predict_on_report_without_required_key_is_usage_error(workdir, capsys):
+    root, _ = workdir
+    fit_dir = root / "fit_missing_key"
+    shutil.copytree(root / "fit_auto", fit_dir)
+    report = json.loads((fit_dir / "report.json").read_text())
+    del report["identity_modes"]
+    (fit_dir / "report.json").write_text(json.dumps(report))
+    code = main(["predict", "--fit", str(fit_dir),
+                 "--new-covariates", str(root / "x1.csv"),
+                 "--out", str(root / "pred_missing_key")])
+    assert code == 2
+    assert "'identity_modes'" in capsys.readouterr().err
 
 
 def test_predict_without_covariates_is_numeric_error(workdir, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from stefa.estimator import (DegenerateCoreError, RankExceedsSpanError,
                              estimate_ranks, fit_stefa, hooi, ipsvd_init,
                              ipsvd_iterate, load_fit, save_fit,
                              subspace_distance)
-from stefa.sieve import BasisSpec, build_design
+from stefa.sieve import BasisSpec, build_design, projector_apply
 from stefa.simlab import SimConfig, generate
-from stefa.tensor import matricize, multi_mode_product
+from stefa.tensor import (matricize, multi_mode_product,
+                          top_left_singular_vectors)
 
 
 def inspan_instance(dims=(20, 20, 20), rank=2, degree=3, alpha=1.0, seed=0,
@@ -78,6 +81,11 @@ def test_hooi_rejects_bad_input():
         hooi(np.full((4, 4, 4), np.nan), (2, 2, 2))
     with pytest.raises(ValueError):
         hooi(np.zeros((4, 4, 4)), (5, 2, 2))
+    y = np.random.default_rng(3).standard_normal((4, 4, 4))
+    for bad in (dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5),
+                dict(tol=np.nan), dict(tol=-1.0), dict(tol=np.inf)):
+        with pytest.raises(ValueError, match="max_iter|tol"):
+            hooi(y, (2, 2, 2), **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +179,77 @@ def test_iterate_trace_and_convergence():
     assert trace[-1] < 1e-8
 
 
+def reference_ipsvd_iterate(Y, designs, ranks, init, max_iter=50, tol=1e-8,
+                            update_order=None, fixed_modes=()):
+    """The projected loop in the full space: every update contracts Y with
+    the other modes' factors and projects onto the mode's sieve span."""
+    scales = np.sqrt(np.asarray(Y.shape, dtype=float))
+    units = [g / s for g, s in zip(init, scales)]
+    active = [m for m in range(Y.ndim) if m not in fixed_modes]
+    order = list(update_order) if update_order is not None else active
+    trace = []
+    for _ in range(max_iter):
+        prev = list(units)
+        for m in order:
+            mats = {j: units[j].T for j in range(Y.ndim) if j != m}
+            mat = matricize(multi_mode_product(Y, mats), m)
+            if designs[m] is not None:
+                mat = projector_apply(designs[m], mat)
+            units[m] = top_left_singular_vectors(mat, ranks[m])
+        trace.append(max(subspace_distance(units[m], prev[m]) for m in active))
+        if trace[-1] < tol:
+            break
+    return [u * s for u, s in zip(units, scales)], trace
+
+
+@pytest.mark.parametrize("case", ["all_designs", "one_without_design",
+                                  "identity_mode", "update_order"])
+def test_compressed_iteration_matches_full_space_reference(case):
+    dims = (20, 20, 10) if case == "identity_mode" else (30, 30, 30)
+    inst, designs = inspan_instance(dims=dims, seed=20, alpha=0.5)
+    y = inst.observed
+    ranks, kwargs = (2, 2, 2), {}
+    if case == "one_without_design":
+        designs[1] = None
+    elif case == "identity_mode":
+        designs[2] = None
+    elif case == "update_order":
+        kwargs = {"update_order": (2, 0, 1)}
+    init = ipsvd_init(y, designs, ranks)
+    if case == "identity_mode":
+        # as fit_stefa sets it up: full extent and an identity factor
+        ranks, kwargs = (2, 2, 10), {"fixed_modes": (2,)}
+        init[2] = np.sqrt(10) * np.eye(10)
+
+    factors, trace, converged = ipsvd_iterate(y, designs, ranks, init, **kwargs)
+    ref, ref_trace = reference_ipsvd_iterate(y, designs, ranks, init, **kwargs)
+    assert len(trace) == len(ref_trace) > 2
+    assert converged
+    assert np.allclose(trace, ref_trace, rtol=0.0, atol=1e-10)
+    for m in range(3):
+        assert subspace_distance(factors[m], ref[m]) <= 1e-10
+        assert np.allclose(factors[m].T @ factors[m] / dims[m],
+                           np.eye(ranks[m]), atol=1e-10)
+
+
+def test_unconverged_fit_is_flagged():
+    inst, designs = inspan_instance(dims=(30, 30, 30), seed=20, alpha=0.5)
+    fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2), max_iter=1)
+    assert not fit.converged and fit.iterations_used == 1
+    assert "not converged after 1 sweeps" in fit.flags
+    fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
+    assert fit.converged
+    assert not any(f.startswith("not converged") for f in fit.flags)
+
+
+def test_fit_stefa_rejects_bad_iteration_controls():
+    inst, designs = inspan_instance(dims=(12, 12, 12), seed=21)
+    for bad in (dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5),
+                dict(tol=np.nan), dict(tol=-1.0), dict(tol=np.inf)):
+        with pytest.raises(ValueError, match="max_iter|tol"):
+            fit_stefa(inst.observed, designs, ranks=(2, 2, 2), **bad)
+
+
 def test_estimate_core_shapes():
     rng = np.random.default_rng(8)
     y = rng.standard_normal((6, 7, 8))
@@ -241,14 +320,50 @@ def test_estimate_ranks_zero_tensor():
 
 def test_save_load_roundtrip(tmp_path):
     inst, designs = inspan_instance(seed=14)
+    # rank 1 writes one-column loading files, which must read back as columns
+    for ranks in [(2, 2, 2), (1, 1, 1)]:
+        fit = fit_stefa(inst.observed, designs, ranks=ranks)
+        out = tmp_path / f"fit{ranks[0]}"
+        save_fit(fit, designs, out)
+        back, back_designs = load_fit(out)
+        assert back.ranks == fit.ranks
+        assert np.allclose(back.core, fit.core, atol=1e-10)
+        for m in range(3):
+            assert back.g_loadings[m].shape == fit.g_loadings[m].shape
+            assert np.allclose(back.g_loadings[m], fit.g_loadings[m], atol=1e-10)
+            assert np.allclose(back.a_loadings[m], fit.a_loadings[m], atol=1e-10)
+            assert np.allclose(back.sieve_coeffs[m], fit.sieve_coeffs[m],
+                               atol=1e-10)
+            assert np.allclose(back_designs[m].phi, designs[m].phi, atol=1e-10)
+
+
+def test_load_fit_rejects_missing_keys_and_inconsistent_shapes(tmp_path):
+    inst, designs = inspan_instance(seed=14)
     fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
     out = tmp_path / "fitdir"
     save_fit(fit, designs, out)
-    back, back_designs = load_fit(out)
-    assert back.ranks == fit.ranks
-    assert np.allclose(back.core, fit.core, atol=1e-10)
-    for m in range(3):
-        assert np.allclose(back.g_loadings[m], fit.g_loadings[m], atol=1e-10)
-        assert np.allclose(back.a_loadings[m], fit.a_loadings[m], atol=1e-10)
-        assert np.allclose(back.sieve_coeffs[m], fit.sieve_coeffs[m], atol=1e-10)
-        assert np.allclose(back_designs[m].phi, designs[m].phi, atol=1e-10)
+    report_path = out / "report.json"
+    report = json.loads(report_path.read_text())
+
+    broken = dict(report)
+    del broken["flags"]
+    report_path.write_text(json.dumps(broken))
+    with pytest.raises(ValueError, match="'flags'"):
+        load_fit(out)
+
+    broken = json.loads(json.dumps(report))
+    del broken["basis"]["1"]["degree"]
+    report_path.write_text(json.dumps(broken))
+    with pytest.raises(ValueError, match="mode 2 .*'degree'"):
+        load_fit(out)
+
+    report_path.write_text(json.dumps(dict(report, ranks=[2, 3, 2])))
+    with pytest.raises(ValueError, match="core extents"):
+        load_fit(out)
+
+    report_path.write_text(json.dumps(report))
+    a_path = out / "a_loadings_mode3.csv"
+    lines = a_path.read_text().splitlines()
+    a_path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    with pytest.raises(ValueError, match="a_loadings_mode3"):
+        load_fit(out)
