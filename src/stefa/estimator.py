@@ -23,8 +23,9 @@ import numpy as np
 from .sieve import (BasisSpec, SieveDesign, build_design, projector_apply,
                     read_covariates_csv, write_covariates_csv)
 from .tensor import (check_tucker_ranks, eigenvalues_symmetric, fix_signs,
-                     matricize, mode_product, multi_mode_product, read_tns,
-                     top_left_singular_vectors, write_tns)
+                     matricize, mode_gram, mode_product, multi_mode_product,
+                     read_tns, top_eigenvectors, top_left_singular_vectors,
+                     write_tns)
 
 __all__ = [
     "EstimationError",
@@ -96,6 +97,7 @@ class HooiFit:
     iterations_used: int
     objective_trace: list
     converged: bool
+    subspace_change_trace: list = field(default_factory=list)  # per sweep, max over modes
 
     def reconstruct(self) -> np.ndarray:
         """Fitted signal: core contracted with the loadings on every mode."""
@@ -174,40 +176,52 @@ def _compress(Y: np.ndarray, designs) -> np.ndarray:
     return multi_mode_product(Y, mats) if mats else Y
 
 
-def _mode_update(T, units, mode, rank):
-    """One power-iteration update: orthonormal factor for ``mode``.
+def _leave_one_out(T, units, order):
+    """Yield ``(m, T contracted with every unit but units[m])`` for each m in
+    ``order``, reading ``units`` as it goes: an update of ``units[m]`` made
+    between two yields enters every later contraction (Gauss-Seidel).
 
-    ``T`` is contracted with every other mode's unit; a mode whose unit is
-    None is left as it is.
+    Units of modes outside ``order`` are contracted first; a unit that is
+    None leaves its mode as it is.  The contractions share partial products:
+    the suffix chain of T contracted with the units of the later modes in
+    ``order``, times the units of the modes already yielded.  So T itself is
+    read twice, by the first link of the chain and by the last mode's
+    contraction, whatever the order of the tensor.
     """
-    mats = {j: units[j].T for j in range(T.ndim) if j != mode and units[j] is not None}
-    contracted = multi_mode_product(T, mats)
-    return top_left_singular_vectors(matricize(contracted, mode), rank)
+    T = multi_mode_product(T, {j: u.T for j, u in enumerate(units)
+                               if j not in order and u is not None})
+    suffixes = [T]
+    for m in reversed(order[1:]):
+        suffixes.append(mode_product(suffixes[-1], units[m].T, m))
+    for k, m in enumerate(order):
+        done = {j: units[j].T for j in order[:k]}
+        yield m, multi_mode_product(suffixes[len(order) - 1 - k], done)
 
 
-def _power_iteration(T, units, ranks, order, active, max_iter, tol,
-                     objective=None):
+def _power_iteration(T, units, ranks, order, active, max_iter, tol):
     """Gauss-Seidel power iteration (HOOI sweeps) on ``T``; HOOI runs it on
     the observed tensor, IP-SVD on the sieve-compressed one.
 
-    Each sweep replaces ``units[m]``, in place, for every m in ``order``.
-    Returns ``(changes, objectives, converged)``: per sweep, the largest
-    subspace change over the modes in ``active`` and, when ``objective`` is
-    given, ``objective(units)``.  The iteration stops after the first change
-    below ``tol`` or after ``max_iter`` sweeps.
+    Each sweep replaces ``units[m]``, in place, for every m in ``order``, and
+    reads T twice (see :func:`_leave_one_out`).  Returns ``(changes,
+    energies, converged)``: per sweep, the largest subspace change over the
+    modes in ``active`` and the energy ``||T x_m units[m]^T||^2`` the units
+    capture after it, taken from the sweep's last contraction.  The iteration
+    stops after the first change below ``tol`` or after ``max_iter`` sweeps.
     """
-    changes, objectives = [], []
+    changes, energies = [], []
     for _ in range(max_iter):
         prev = [units[m] for m in active]
-        for m in order:
-            units[m] = _mode_update(T, units, m, ranks[m])
+        for m, contracted in _leave_one_out(T, units, order):
+            units[m] = top_left_singular_vectors(matricize(contracted, m),
+                                                 ranks[m])
+        core = mode_product(contracted, units[m].T, m)
+        energies.append(float(np.vdot(core, core)))
         changes.append(max(subspace_distance(units[m], p)
                            for m, p in zip(active, prev)))
-        if objective is not None:
-            objectives.append(objective(units))
         if changes[-1] < tol:
-            return changes, objectives, True
-    return changes, objectives, False
+            return changes, energies, True
+    return changes, energies, False
 
 
 # ---------------------------------------------------------------------------
@@ -216,31 +230,30 @@ def _power_iteration(T, units, ranks, order, active, max_iter, tol,
 def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit:
     """Higher-order orthogonal iteration with HOSVD initialization.
 
-    The sweeps run on the observed tensor itself, in the power-iteration
-    loop that :func:`ipsvd_iterate` runs on the sieve-compressed tensor, and
-    ``objective_trace`` records the captured energy before the first sweep
-    and after each one.  Loadings are scaled so ``A^T A / I_m`` is the
-    identity, and the final core is rotated so each mode-wise core Gram is
-    diagonal with decreasing entries (the same calibration used by the
-    projected estimator).  ``max_iter`` must be an integer >= 1 and ``tol``
-    finite and >= 0.
+    The start takes the leading eigenvectors of each mode Gram, summed
+    without unfolding Y.  The sweeps run on the observed tensor itself, in
+    the power-iteration loop that :func:`ipsvd_iterate` runs on the
+    sieve-compressed tensor, and read it twice each.  ``objective_trace``
+    records the captured energy ``prod(I) * ||Y x_m U_m^T||^2`` before the
+    first sweep and after each one, and ``subspace_change_trace`` each
+    sweep's largest subspace change over the modes (a fit whose last change
+    is not below ``tol`` has not converged).  Loadings are scaled so
+    ``A^T A / I_m`` is the identity, and the final core is rotated so each
+    mode-wise core Gram is diagonal with decreasing entries (the same
+    calibration used by the projected estimator).  ``max_iter`` must be an
+    integer >= 1 and ``tol`` finite and >= 0.
     """
     _check_iteration_controls(max_iter, tol)
     Y = np.asarray(Y, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("tensor has non-finite entries")
     ranks = check_tucker_ranks(ranks, Y.shape)
-    modes = range(Y.ndim)
-    units = [top_left_singular_vectors(matricize(Y, m), ranks[m]) for m in modes]
-
-    def objective(us):
-        compressed = multi_mode_product(Y, {m: u.T for m, u in enumerate(us)})
-        return float(np.prod(Y.shape) * np.sum(compressed ** 2))
-
-    trace = [objective(units)]
-    changes, objectives, converged = _power_iteration(
-        Y, units, ranks, modes, modes, max_iter, tol, objective)
-    trace += objectives
+    modes = list(range(Y.ndim))
+    units = [top_eigenvectors(mode_gram(Y, m), ranks[m]) for m in modes]
+    start = multi_mode_product(Y, {m: u.T for m, u in enumerate(units)})
+    changes, energies, converged = _power_iteration(
+        Y, units, ranks, modes, modes, max_iter, tol)
+    trace = [Y.size * e for e in [float(np.vdot(start, start))] + energies]
 
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
     loadings = [u * s for u, s in zip(units, scales)]
@@ -248,7 +261,7 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     core, loadings, _ = calibrate(core, loadings)
     return HooiFit(core=core, loadings=loadings, ranks=ranks,
                    iterations_used=len(changes), objective_trace=trace,
-                   converged=converged)
+                   converged=converged, subspace_change_trace=changes)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +372,17 @@ def estimate_loadings(Y: np.ndarray, designs, core: np.ndarray, g_loadings,
 
     The mode-m loading regresses the (other-mode projected) observation onto
     the core contracted with the other modes' G loadings; the orthogonal part
-    is its residual after sieve projection.
+    is its residual after sieve projection.  The loading of a mode in
+    ``identity_modes`` is the identity, so that mode is not contracted.  The
+    contractions for all modes share partial products and read Y twice.
     """
     Y = np.asarray(Y, dtype=float)
     designs = _normalize_designs(designs, Y.ndim)
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
-    units = [g / s for g, s in zip(g_loadings, scales)]
-
+    units = [None if m in identity_modes else g / s
+             for m, (g, s) in enumerate(zip(g_loadings, scales))]
+    modes = [m for m in range(Y.ndim) if m not in identity_modes]
+    contractions = dict(_leave_one_out(Y, units, modes))
     a_loadings, gammas, coeffs = [], [], []
     for m in range(Y.ndim):
         if m in identity_modes:
@@ -379,8 +396,7 @@ def estimate_loadings(Y: np.ndarray, designs, core: np.ndarray, g_loadings,
         if w[-1] < 1e-12 * np.trace(gram):
             raise DegenerateCoreError(
                 f"degenerate core (mode {m}): rank may be misspecified")
-        mats = {j: units[j].T for j in range(Y.ndim) if j != m}
-        numer = matricize(multi_mode_product(Y, mats), m) @ matricize(core, m).T
+        numer = matricize(contractions[m], m) @ matricize(core, m).T
         a_m = numer @ np.linalg.pinv(gram, rcond=1e-12)
         a_m /= np.sqrt(np.prod(Y.shape) / Y.shape[m])
         a_loadings.append(a_m)
@@ -509,7 +525,9 @@ def estimate_ranks(Y: np.ndarray, designs=None, k_max: int | None = None,
     ``sigma2 * (sqrt(n) + sqrt(p))^2``, the largest eigenvalue a pure-noise
     n x p matrix reaches (in the spirit of Onatski, 2010).  The profile holds
     ``lambda_k / edge``, so the chosen rank is the number of its entries
-    above 1, clamped to at least 1.
+    above 1, clamped to at least 1.  A mode whose count exceeds the product
+    of the other modes' ranks (a skipped mode counting its extent) gets that
+    product, so the result is a valid Tucker rank.
 
     The count runs over k up to ``min(I_m, prod I_other) / 2`` (nearest
     integer), further capped one below the structural rank of the projected
@@ -530,7 +548,7 @@ def estimate_ranks(Y: np.ndarray, designs=None, k_max: int | None = None,
     outside = Y.size - compressed.size
     sigma2 = None
     if outside > 0:
-        energy = float(np.sum(Y ** 2)) - float(np.sum(compressed ** 2))
+        energy = float(np.vdot(Y, Y)) - float(np.vdot(compressed, compressed))
         sigma2 = max(energy, 0.0) / outside
 
     ranks = []
@@ -540,14 +558,15 @@ def estimate_ranks(Y: np.ndarray, designs=None, k_max: int | None = None,
             ranks.append(Y.shape[m])
             profiles.append(np.array([]))
             continue
-        mat = matricize(compressed, m)
-        lam = np.clip(eigenvalues_symmetric(mat @ mat.T), 0.0, None)
+        lam = np.clip(eigenvalues_symmetric(mode_gram(compressed, m)), 0.0, None)
+        n = compressed.shape[m]
+        p = compressed.size // n
 
         other = int(np.prod(Y.shape, dtype=np.int64)) // Y.shape[m]
         cap = _round_half_away(min(Y.shape[m], other) / 2.0)
         if k_max is not None:
             cap = min(cap, int(k_max))
-        structural = min(mat.shape)
+        structural = min(n, p)
         d = designs[m]
         if d is not None:
             structural = min(structural, d.rank)
@@ -558,12 +577,18 @@ def estimate_ranks(Y: np.ndarray, designs=None, k_max: int | None = None,
             profile = lam[:cap] / np.maximum(lam[1:cap + 1], floor)
             rank = int(np.argmax(profile)) + 1
         else:
-            n, p = mat.shape
             edge = max(sigma2 * (np.sqrt(n) + np.sqrt(p)) ** 2, floor)
             profile = lam[:cap] / edge
             rank = max(1, int(np.count_nonzero(profile > 1.0)))
         ranks.append(rank)
         profiles.append(profile)
+    # counts chosen mode by mode can break the Tucker condition; at most one
+    # mode can exceed the product of the others, and capping it there keeps
+    # the rest valid
+    for m in range(Y.ndim):
+        if m not in skip_modes:
+            others = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
+            ranks[m] = min(ranks[m], others)
     ranks = tuple(ranks)
     return (ranks, profiles) if return_profile else ranks
 

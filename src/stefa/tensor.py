@@ -6,7 +6,13 @@ index order with the last index varying fastest.  Modes are 0-based.
 The mode-m matricization puts mode-m fibers as columns; the remaining modes
 are cycled in ascending order with the first remaining mode varying fastest.
 For a 3-way tensor this gives the classical entry mapping
-``unfold(t, 0)[i1, i2 + i3*I2] == t[i1, i2, i3]``.
+``unfold(t, 0)[i1, i2 + i3*I2] == t[i1, i2, i3]``.  :func:`matricize` copies
+the tensor; the mode products and :func:`mode_gram` work on the C layout
+directly and form no unfolding.
+
+Layout contract of :func:`mode_product`: the result is a C-contiguous array,
+and the input tensor is copied only when it is not C-contiguous.  So in a
+chain of products (:func:`multi_mode_product`) only the first one may copy.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ __all__ = [
     "tensorize",
     "mode_product",
     "multi_mode_product",
+    "mode_gram",
     "frobenius_norm",
     "top_left_singular_vectors",
+    "top_eigenvectors",
     "eigenvalues_symmetric",
     "fix_signs",
     "check_tucker_ranks",
@@ -31,6 +39,13 @@ __all__ = [
 def _check_mode(t: np.ndarray, mode: int) -> None:
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
+
+
+def _split_at(shape, mode) -> tuple[int, int, int]:
+    """(P, I_mode, Q): the extents before, at and after ``mode``, so that a
+    C-contiguous tensor reshapes to (P, I_mode, Q) without a copy."""
+    return (int(np.prod(shape[:mode], dtype=np.int64)), shape[mode],
+            int(np.prod(shape[mode + 1:], dtype=np.int64)))
 
 
 def matricize(t: np.ndarray, mode: int) -> np.ndarray:
@@ -56,15 +71,32 @@ def tensorize(mat: np.ndarray, mode: int, dims) -> np.ndarray:
 
 
 def mode_product(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` product ``t x_mode mat``; ``mat`` has shape (new_dim, I_mode)."""
+    """Mode-``mode`` product ``t x_mode mat``; ``mat`` has shape (new_dim, I_mode).
+
+    The C-contiguous tensor is viewed as (P, I_mode, Q), P and Q the extents
+    before and after the mode, and contracted by one matmul: one GEMM per
+    leading index (a single GEMM for the first mode) or, for the last mode,
+    one GEMM on the (P, I_mode) view.  The result is C-contiguous; ``t`` is
+    copied only when it is not C-contiguous.
+    """
     t = np.asarray(t)
     mat = np.asarray(mat)
     _check_mode(t, mode)
     if mat.ndim != 2 or mat.shape[1] != t.shape[mode]:
         raise ValueError(f"matrix shape {mat.shape} incompatible with mode-{mode} "
                          f"extent {t.shape[mode]}")
-    out = np.tensordot(mat, t, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
+    t = np.ascontiguousarray(t)
+    p, n, q = _split_at(t.shape, mode)
+    shape = t.shape[:mode] + (mat.shape[0],) + t.shape[mode + 1:]
+    if q > 1:
+        out = mat @ t.reshape(p, n, q)
+    elif mat.shape[0] < n:
+        # narrowing the last mode: BLAS runs (mat @ T^T) faster than
+        # (T @ mat^T), and the transposed result is small enough to copy
+        out = np.ascontiguousarray((mat @ t.reshape(p, n).T).T)
+    else:
+        out = t.reshape(p, n) @ mat.T
+    return out.reshape(shape)
 
 
 def multi_mode_product(t: np.ndarray, mats) -> np.ndarray:
@@ -80,6 +112,21 @@ def multi_mode_product(t: np.ndarray, mats) -> np.ndarray:
     for mode, mat in items:
         out = mode_product(out, mat, mode)
     return out
+
+
+def mode_gram(t: np.ndarray, mode: int) -> np.ndarray:
+    """Gram matrix ``matricize(t, mode) @ matricize(t, mode).T``, summed over
+    the C layout without forming the unfolding."""
+    t = np.ascontiguousarray(t, dtype=float)
+    _check_mode(t, mode)
+    p, n, q = _split_at(t.shape, mode)
+    if q == 1:
+        flat = t.reshape(p, n)
+        return flat.T @ flat
+    gram = np.zeros((n, n))
+    for block in t.reshape(p, n, q):
+        gram += block @ block.T
+    return gram
 
 
 def frobenius_norm(t: np.ndarray) -> float:
@@ -111,13 +158,17 @@ def top_left_singular_vectors(mat: np.ndarray, r: int) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     if p > 4 * n:
-        gram = mat @ mat.T
-        w, v = np.linalg.eigh(gram)
-        u = v[:, ::-1][:, :r]
-    else:
-        u, _, _ = np.linalg.svd(mat, full_matrices=False)
-        u = u[:, :r]
-    return fix_signs(u)
+        return top_eigenvectors(mat @ mat.T, r)
+    u, _, _ = np.linalg.svd(mat, full_matrices=False)
+    return fix_signs(u[:, :r])
+
+
+def top_eigenvectors(gram: np.ndarray, r: int) -> np.ndarray:
+    """Top-``r`` eigenvectors of a symmetric positive semi-definite matrix,
+    sign-fixed; for a Gram ``M M^T`` they are the top left singular vectors
+    of ``M``."""
+    _, v = np.linalg.eigh(gram)
+    return fix_signs(v[:, ::-1][:, :r])
 
 
 def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from stefa.estimator import (DegenerateCoreError, RankExceedsSpanError,
                              subspace_distance)
 from stefa.sieve import BasisSpec, build_design, projector_apply
 from stefa.simlab import SimConfig, generate
-from stefa.tensor import (matricize, multi_mode_product,
+from stefa.tensor import (check_tucker_ranks, matricize, multi_mode_product,
                           top_left_singular_vectors)
 
 
@@ -86,6 +86,65 @@ def test_hooi_rejects_bad_input():
                 dict(tol=np.nan), dict(tol=-1.0), dict(tol=np.inf)):
         with pytest.raises(ValueError, match="max_iter|tol"):
             hooi(y, (2, 2, 2), **bad)
+
+
+def reference_hooi(Y, ranks, max_iter=50, tol=1e-8):
+    """HOOI with four passes over Y per 3-way sweep: every update contracts Y
+    with all the other units, and the objective makes its own pass."""
+    units = [top_left_singular_vectors(matricize(Y, m), r)
+             for m, r in enumerate(ranks)]
+
+    def objective(us):
+        compressed = multi_mode_product(Y, {m: u.T for m, u in enumerate(us)})
+        return float(np.prod(Y.shape) * np.sum(compressed ** 2))
+
+    trace, changes = [objective(units)], []
+    for _ in range(max_iter):
+        prev = list(units)
+        for m in range(Y.ndim):
+            mats = {j: units[j].T for j in range(Y.ndim) if j != m}
+            units[m] = top_left_singular_vectors(
+                matricize(multi_mode_product(Y, mats), m), ranks[m])
+        changes.append(max(subspace_distance(u, p) for u, p in zip(units, prev)))
+        trace.append(objective(units))
+        if changes[-1] < tol:
+            break
+    return units, trace, changes
+
+
+def low_rank_plus_noise(dims, ranks, noise, seed):
+    rng = np.random.default_rng(seed)
+    mats = [np.linalg.qr(rng.standard_normal((d, r)))[0] * np.sqrt(d)
+            for d, r in zip(dims, ranks)]
+    signal = multi_mode_product(rng.standard_normal(ranks), mats)
+    return signal + noise * rng.standard_normal(dims)
+
+
+@pytest.mark.parametrize("case", ["unequal_dims", "four_way", "noise_seed0",
+                                  "noise_seed1", "noise_seed2", "noise_seed3"])
+def test_hooi_matches_four_pass_reference(case):
+    if case == "unequal_dims":
+        ranks = (2, 3, 2)
+        y = low_rank_plus_noise((12, 15, 18), ranks, 0.1, seed=30)
+    elif case == "four_way":
+        ranks = (2, 2, 3, 2)
+        y = low_rank_plus_noise((6, 7, 8, 9), ranks, 0.1, seed=31)
+    else:
+        # noise only: the sweeps never settle, so differences could grow
+        ranks = (3, 3, 3)
+        y = np.random.default_rng(40 + int(case[-1])).standard_normal((20, 22, 24))
+    fit = hooi(y, ranks)
+    units, trace, changes = reference_hooi(y, ranks)
+    assert fit.iterations_used == len(changes) == len(fit.subspace_change_trace)
+    if case.startswith("noise"):
+        assert not fit.converged and fit.iterations_used == 50
+    else:
+        assert fit.converged and fit.iterations_used > 2
+    assert fit.converged == (fit.subspace_change_trace[-1] < 1e-8)
+    assert np.allclose(fit.subspace_change_trace, changes, rtol=0.0, atol=1e-10)
+    assert np.allclose(fit.objective_trace, trace, rtol=1e-12, atol=0.0)
+    for m in range(y.ndim):
+        assert subspace_distance(fit.loadings[m], units[m]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +309,46 @@ def test_fit_stefa_rejects_bad_iteration_controls():
             fit_stefa(inst.observed, designs, ranks=(2, 2, 2), **bad)
 
 
+def reference_estimate_loadings(Y, designs, core, g_loadings, identity_modes=()):
+    """Full loadings with one contraction of Y per mode."""
+    scales = np.sqrt(np.asarray(Y.shape, dtype=float))
+    units = [g / s for g, s in zip(g_loadings, scales)]
+    a_loadings = []
+    for m in range(Y.ndim):
+        if m in identity_modes:
+            a_loadings.append(np.eye(Y.shape[m]))
+            continue
+        gram = matricize(core, m) @ matricize(core, m).T
+        mats = {j: units[j].T for j in range(Y.ndim) if j != m}
+        numer = matricize(multi_mode_product(Y, mats), m) @ matricize(core, m).T
+        a_m = numer @ np.linalg.pinv(gram, rcond=1e-12)
+        a_loadings.append(a_m / np.sqrt(np.prod(Y.shape) / Y.shape[m]))
+    return a_loadings
+
+
+@pytest.mark.parametrize("identity", [False, True])
+def test_estimate_loadings_matches_per_mode_reference(identity):
+    inst, designs = inspan_instance(dims=(20, 24, 10), seed=22, alpha=0.5)
+    identity_modes = ()
+    if identity:
+        designs[2] = None
+        identity_modes = (2,)
+    fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2),
+                    identity_modes=identity_modes)
+    # the inputs fit_stefa passes: the identity scale not yet folded into
+    # the core, and sqrt(I) times the identity as the identity mode's loading
+    core, g = fit.core, list(fit.g_loadings)
+    for m in identity_modes:
+        core = core / np.sqrt(inst.observed.shape[m])
+        g[m] = np.sqrt(inst.observed.shape[m]) * g[m]
+    a, _, _ = estimate_loadings(inst.observed, designs, core, g, identity_modes)
+    ref = reference_estimate_loadings(inst.observed, designs, core, g,
+                                      identity_modes)
+    for m in range(3):
+        assert np.allclose(a[m], ref[m], rtol=0.0, atol=1e-12)
+        assert np.allclose(a[m], fit.a_loadings[m], rtol=0.0, atol=1e-12)
+
+
 def test_estimate_core_shapes():
     rng = np.random.default_rng(8)
     y = rng.standard_normal((6, 7, 8))
@@ -300,6 +399,17 @@ def test_estimate_ranks_pure_noise_selects_one():
     designs = [build_design(rng.uniform(size=(30, 2)), BasisSpec(degree=4))
                for _ in range(3)]
     assert estimate_ranks(y, designs) == (1, 1, 1)
+
+
+def test_auto_ranks_are_valid_tucker_ranks():
+    # the per-mode counts here are (2, 1, 1), which no Tucker core has
+    inst = generate(SimConfig(dims=(100, 100, 100), rank=3, alpha=0.3,
+                              j_star=4, seed=12))
+    designs = [build_design(X, BasisSpec(degree=4)) for X in inst.covariates]
+    ranks, profiles = estimate_ranks(inst.observed, designs, return_profile=True)
+    assert [int(np.sum(p > 1.0)) for p in profiles] == [2, 1, 1]
+    assert check_tucker_ranks(ranks, inst.observed.shape) == ranks == (1, 1, 1)
+    assert fit_stefa(inst.observed, designs).ranks == ranks
 
 
 def test_estimate_ranks_auto_cap_without_designs():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stefa.tensor import (check_tucker_ranks, eigenvalues_symmetric, fix_signs,
-                          frobenius_norm, matricize, mode_product,
+                          frobenius_norm, matricize, mode_gram, mode_product,
                           multi_mode_product, read_tns, tensorize,
                           top_left_singular_vectors, write_tns)
 
@@ -67,6 +67,42 @@ def test_mode_product_matches_matricized_form():
         a = rng.standard_normal((new, t.shape[mode]))
         out = mode_product(t, a, mode)
         assert np.allclose(matricize(out, mode), a @ matricize(t, mode))
+
+
+def layout_tensor(rng, dims, layout):
+    """A tensor of shape ``dims`` in C order, F order, as a transposed view or
+    as a strided slice."""
+    if layout == "C":
+        return rng.standard_normal(dims)
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal(dims))
+    if layout == "transposed":
+        return rng.standard_normal(dims[::-1]).T
+    return rng.standard_normal([2 * d + 1 for d in dims])[
+        tuple(slice(1, None, 2) for _ in dims)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=7),
+       st.sampled_from(["C", "F", "transposed", "sliced"]), st.randoms())
+def test_mode_product_matches_tensordot_on_any_layout(dims, mode, new, layout,
+                                                      rnd):
+    mode = mode % len(dims)
+    rng = np.random.default_rng(rnd.randrange(2 ** 32))
+    t = layout_tensor(rng, dims, layout)
+    mat = rng.standard_normal((new, dims[mode]))
+    out = mode_product(t, mat, mode)
+    ref = np.moveaxis(np.tensordot(mat, t, axes=(1, mode)), 0, mode)
+    assert out.flags.c_contiguous
+    assert out.shape == ref.shape
+    scale = np.linalg.norm(mat) * np.linalg.norm(t)
+    assert np.linalg.norm(out - ref) <= 1e-12 * scale
+    unfolded = matricize(t, mode)
+    gram = mode_gram(t, mode)
+    assert np.array_equal(gram, gram.T)
+    assert (np.linalg.norm(gram - unfolded @ unfolded.T)
+            <= 1e-12 * np.linalg.norm(t) ** 2)
 
 
 def test_mode_product_shape_mismatch():
