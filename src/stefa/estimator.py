@@ -6,10 +6,11 @@ the sieve span of that mode's covariates, and the fitted core is rotated so
 its mode-wise Gram matrices are diagonal with decreasing entries.  With B_m
 the orthonormal sieve basis of mode m, a projected update satisfies
 ``P_m Y_(m) (x_j U_j) = B_m Z_(m) (x_j W_j)`` where Z is Y contracted with
-every ``B_m^T`` and ``U_j = B_j W_j``; so the iteration runs as HOOI on the
-sieve-compressed tensor Z, and its factors are lifted by B_m at the end.
-Modes without covariates stay uncompressed (unprojected updates), so with no
-designs at all the machinery reduces to plain HOOI, which shares the loop.
+every ``B_m^T`` and ``U_j = B_j W_j``; so IP-SVD, its spectral start
+included, runs as HOOI on the sieve-compressed tensor Z, formed once, and
+its factors are lifted by B_m at the end.  Modes without covariates stay
+uncompressed (unprojected updates), so with no designs at all the machinery
+reduces to plain HOOI, which shares the loop.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "orthonormal_basis",
     "subspace_distance",
     "hooi",
-    "ipsvd_init",
     "ipsvd_iterate",
     "estimate_core",
     "calibrate",
@@ -151,12 +151,30 @@ def _check_design_shapes(Y, designs) -> None:
                              f"extent is {Y.shape[m]}")
 
 
-def _check_span_ranks(designs, ranks) -> tuple:
-    """Per-mode ranks as ints; a covariate mode's rank must fit its sieve span."""
+def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
+    """Per-mode ranks as ints, an identity mode's being its extent whatever
+    ``ranks`` holds for it.  Every other rank must lie in [1, I_m], not
+    exceed the product of the other ranks (the Tucker condition, identity
+    modes counting at their extent) and, on a covariate mode, fit its sieve
+    span."""
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != len(designs):
-        raise ValueError(f"{len(ranks)} ranks given for order-{len(designs)} tensor")
-    for m, d in enumerate(designs):
+    if len(ranks) != len(dims):
+        raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
+    for m in identity_modes:
+        if designs[m] is not None:
+            raise ValueError(f"mode {m} is both an identity mode and has covariates")
+    ranks = tuple(d if m in identity_modes else r
+                  for m, (r, d) in enumerate(zip(ranks, dims)))
+    modes = [m for m in range(len(dims)) if m not in identity_modes]
+    for m in modes:
+        if not 1 <= ranks[m] <= dims[m]:
+            raise ValueError(f"rank {ranks[m]} for mode {m} not in [1, {dims[m]}]")
+        other = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
+        if ranks[m] > other:
+            raise ValueError(f"rank {ranks[m]} for mode {m} exceeds product of "
+                             f"the other ranks ({other})")
+    for m in modes:
+        d = designs[m]
         if d is not None and ranks[m] > d.rank:
             raise RankExceedsSpanError(
                 f"rank exceeds sieve span (mode {m}: rank {ranks[m]} > span {d.rank})")
@@ -176,49 +194,46 @@ def _compress(Y: np.ndarray, designs) -> np.ndarray:
     return multi_mode_product(Y, mats) if mats else Y
 
 
-def _leave_one_out(T, units, order):
+def _leave_one_out(T, units, modes):
     """Yield ``(m, T contracted with every unit but units[m])`` for each m in
-    ``order``, reading ``units`` as it goes: an update of ``units[m]`` made
+    ``modes``, reading ``units`` as it goes: an update of ``units[m]`` made
     between two yields enters every later contraction (Gauss-Seidel).
 
-    Units of modes outside ``order`` are contracted first; a unit that is
-    None leaves its mode as it is.  The contractions share partial products:
-    the suffix chain of T contracted with the units of the later modes in
-    ``order``, times the units of the modes already yielded.  So T itself is
-    read twice, by the first link of the chain and by the last mode's
+    Modes outside ``modes`` are not contracted.  The contractions share
+    partial products: the suffix chain of T contracted with the units of the
+    later modes, times the units of the modes already yielded.  So T itself
+    is read twice, by the first link of the chain and by the last mode's
     contraction, whatever the order of the tensor.
     """
-    T = multi_mode_product(T, {j: u.T for j, u in enumerate(units)
-                               if j not in order and u is not None})
     suffixes = [T]
-    for m in reversed(order[1:]):
+    for m in reversed(modes[1:]):
         suffixes.append(mode_product(suffixes[-1], units[m].T, m))
-    for k, m in enumerate(order):
-        done = {j: units[j].T for j in order[:k]}
-        yield m, multi_mode_product(suffixes[len(order) - 1 - k], done)
+    for k, m in enumerate(modes):
+        done = {j: units[j].T for j in modes[:k]}
+        yield m, multi_mode_product(suffixes[len(modes) - 1 - k], done)
 
 
-def _power_iteration(T, units, ranks, order, active, max_iter, tol):
+def _power_iteration(T, units, ranks, modes, max_iter, tol):
     """Gauss-Seidel power iteration (HOOI sweeps) on ``T``; HOOI runs it on
     the observed tensor, IP-SVD on the sieve-compressed one.
 
-    Each sweep replaces ``units[m]``, in place, for every m in ``order``, and
-    reads T twice (see :func:`_leave_one_out`).  Returns ``(changes,
-    energies, converged)``: per sweep, the largest subspace change over the
-    modes in ``active`` and the energy ``||T x_m units[m]^T||^2`` the units
+    Each sweep replaces ``units[m]``, in place, for every m in ``modes``, in
+    that order, and reads T twice (see :func:`_leave_one_out`).  Returns
+    ``(changes, energies, converged)``: per sweep, the largest subspace
+    change over ``modes`` and the energy ``||T x_m units[m]^T||^2`` the units
     capture after it, taken from the sweep's last contraction.  The iteration
     stops after the first change below ``tol`` or after ``max_iter`` sweeps.
     """
     changes, energies = [], []
     for _ in range(max_iter):
-        prev = [units[m] for m in active]
-        for m, contracted in _leave_one_out(T, units, order):
+        prev = [units[m] for m in modes]
+        for m, contracted in _leave_one_out(T, units, modes):
             units[m] = top_left_singular_vectors(matricize(contracted, m),
                                                  ranks[m])
         core = mode_product(contracted, units[m].T, m)
         energies.append(float(np.vdot(core, core)))
         changes.append(max(subspace_distance(units[m], p)
-                           for m, p in zip(active, prev)))
+                           for m, p in zip(modes, prev)))
         if changes[-1] < tol:
             return changes, energies, True
     return changes, energies, False
@@ -252,7 +267,7 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     units = [top_eigenvectors(mode_gram(Y, m), ranks[m]) for m in modes]
     start = multi_mode_product(Y, {m: u.T for m, u in enumerate(units)})
     changes, energies, converged = _power_iteration(
-        Y, units, ranks, modes, modes, max_iter, tol)
+        Y, units, ranks, modes, max_iter, tol)
     trace = [Y.size * e for e in [float(np.vdot(start, start))] + energies]
 
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
@@ -267,69 +282,47 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
 # ---------------------------------------------------------------------------
 # iteratively projected SVD
 
-def ipsvd_init(Y: np.ndarray, designs, ranks) -> list:
-    """Projected spectral initialization: SVD of each matricization of the
-    tensor projected onto every mode's sieve span."""
-    Y = np.asarray(Y, dtype=float)
-    designs = _normalize_designs(designs, Y.ndim)
-    _check_design_shapes(Y, designs)
-    ranks = _check_span_ranks(designs, ranks)
+def ipsvd_iterate(Y: np.ndarray, designs, ranks, max_iter: int = 50,
+                  tol: float = 1e-8, identity_modes=()):
+    """Iteratively projected SVD: projected spectral start and projected
+    power iterations (Gauss-Seidel over modes).
 
-    compressed = _compress(Y, designs)
-    factors = []
-    for m, d in enumerate(designs):
-        u = top_left_singular_vectors(matricize(compressed, m), ranks[m])
-        if d is not None:
-            u = fix_signs(d.basis @ u)
-        factors.append(u * np.sqrt(Y.shape[m]))
-    return factors
-
-
-def ipsvd_iterate(Y: np.ndarray, designs, ranks, init, max_iter: int = 50,
-                  tol: float = 1e-8, update_order=None, fixed_modes=()):
-    """Projected power iterations (Gauss-Seidel over modes) from a warm start.
-
-    The sweeps run as HOOI on the sieve-compressed tensor Z, which is Y
-    contracted with ``B_m^T`` on every covariate mode m, starting from the
-    coordinates ``W_m = B_m^T U_m`` of the warm start ``U_m = init[m] /
-    sqrt(I_m)`` (a warm start outside a sieve span enters through its
-    projection onto it).  Each sweep's subspace change is measured on the
-    W_m, which the orthonormal B_m leaves unchanged, and the factors are
-    lifted as ``fix_signs(B_m W_m) * sqrt(I_m)`` at the end.  Modes without
-    a design stay uncompressed.  Modes in ``fixed_modes`` keep their warm
-    start, which is contracted into Z once instead of in every sweep.
-    ``update_order`` lists the updated modes in the order of the sweep.
+    Both run as HOOI on the sieve-compressed tensor Z, which is Y contracted
+    with ``B_m^T`` on every covariate mode m and is formed once.  The start
+    of mode m is the top eigenvectors of Z's mode-m Gram, the coordinates
+    ``W_m`` of the projected spectral start ``B_m W_m``; the sweeps update
+    the W_m, whose subspace change the orthonormal B_m leaves unchanged, and
+    the factors are lifted as ``fix_signs(B_m W_m) * sqrt(I_m)`` at the end.
+    Modes without a design stay uncompressed.  Modes in ``identity_modes``
+    (which have no design) are neither contracted nor updated: their rank is
+    their extent, whatever ``ranks`` holds for them, and their factor is
+    ``sqrt(I_m)`` times the identity.  The ranks of the other modes must be
+    valid Tucker ranks, identity modes counting at their extent, and fit
+    their sieve spans (:class:`RankExceedsSpanError` otherwise).
 
     Returns ``(factors, trace, converged)`` where ``trace`` holds the maximal
     per-sweep subspace change.
     """
     Y = np.asarray(Y, dtype=float)
     designs = _normalize_designs(designs, Y.ndim)
-    ranks = _check_span_ranks(designs, ranks)
+    _check_design_shapes(Y, designs)
+    ranks = _check_ranks(Y.shape, designs, ranks, identity_modes)
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
-    active = [m for m in range(Y.ndim) if m not in fixed_modes]
-    order = list(update_order) if update_order is not None else active
+    modes = [m for m in range(Y.ndim) if m not in identity_modes]
 
-    units = [None] * Y.ndim
-    mats = {}
-    for m, (g, d) in enumerate(zip(init, designs)):
-        u = g / scales[m]
-        if m not in active:
-            mats[m] = u.T
+    compressed = _compress(Y, designs)
+    units = [top_eigenvectors(mode_gram(compressed, m), ranks[m])
+             if m in modes else None for m in range(Y.ndim)]
+    trace, _, converged = _power_iteration(compressed, units, ranks, modes,
+                                           max_iter, tol)
+
+    factors = []
+    for m, (u, d) in enumerate(zip(units, designs)):
+        if u is None:
+            u = np.eye(Y.shape[m])
         elif d is not None:
-            mats[m] = d.basis.T
-            units[m] = d.basis.T @ u
-        else:
-            units[m] = u
-    compressed = multi_mode_product(Y, mats)
-    trace, _, converged = _power_iteration(compressed, units, ranks, order,
-                                           active, max_iter, tol)
-
-    factors = list(init)
-    for m in active:
-        d = designs[m]
-        u = units[m] if d is None else fix_signs(d.basis @ units[m])
-        factors[m] = u * scales[m]
+            u = fix_signs(d.basis @ u)
+        factors.append(u * scales[m])
     return factors, trace, converged
 
 
@@ -413,14 +406,16 @@ def estimate_loadings(Y: np.ndarray, designs, core: np.ndarray, g_loadings,
 
 
 def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
-              max_iter: int = 50, tol: float = 1e-8, update_order=None) -> StefaFit:
-    """Full pipeline: projected init, projected power iterations, core
-    projection, orthogonal calibration, and loading extraction.
+              max_iter: int = 50, tol: float = 1e-8) -> StefaFit:
+    """Full pipeline: iteratively projected SVD (:func:`ipsvd_iterate`, which
+    also checks the ranks), core projection, orthogonal calibration, and
+    loading extraction.
 
     ``designs`` is a per-mode list of :class:`SieveDesign` or None (no
     covariates for that mode, meaning unprojected updates).  Modes listed in
     ``identity_modes`` are not compressed: their loading is the identity and
-    their core extent equals the tensor extent.  ``ranks=None`` selects ranks
+    their core extent, and so their rank, equals the tensor extent (their
+    entry in ``ranks`` is ignored).  ``ranks=None`` selects the other ranks
     with :func:`estimate_ranks`: per mode, the count of projected-Gram
     eigenvalues above the noise edge, with the noise variance measured on the
     complement of the sieve spans (the eigenvalue ratio when no mode has a
@@ -432,33 +427,15 @@ def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
     Y = np.asarray(Y, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("tensor has non-finite entries")
-    order = Y.ndim
-    designs = _normalize_designs(designs, order)
-    _check_design_shapes(Y, designs)
+    designs = _normalize_designs(designs, Y.ndim)
     identity_modes = tuple(sorted(set(identity_modes)))
-    for m in identity_modes:
-        if designs[m] is not None:
-            raise ValueError(f"mode {m} is both an identity mode and has covariates")
 
     if ranks is None:
         ranks = estimate_ranks(Y, designs, skip_modes=identity_modes)
-    # the pipeline's one rank check; it precedes the identity extents, which
-    # may exceed the product of the other ranks
-    ranks = list(check_tucker_ranks(ranks, Y.shape))
-    for m in identity_modes:
-        ranks[m] = Y.shape[m]
-    ranks = tuple(ranks)
-
-    # identity modes get a placeholder rank in the init call (their factor is
-    # overwritten with the identity just below)
-    init_ranks = tuple(1 if m in identity_modes else r
-                       for m, r in enumerate(ranks))
-    init = ipsvd_init(Y, designs, init_ranks)
-    for m in identity_modes:
-        init[m] = np.sqrt(Y.shape[m]) * np.eye(Y.shape[m])
     factors, trace, converged = ipsvd_iterate(
-        Y, designs, ranks, init, max_iter=max_iter, tol=tol,
-        update_order=update_order, fixed_modes=identity_modes)
+        Y, designs, ranks, max_iter=max_iter, tol=tol,
+        identity_modes=identity_modes)
+    ranks = tuple(g.shape[1] for g in factors)
     core = estimate_core(Y, factors)
     core, factors, flags = calibrate(core, factors, fixed_modes=identity_modes)
     a_loadings, gammas, coeffs = estimate_loadings(

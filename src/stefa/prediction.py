@@ -32,13 +32,10 @@ _FAMILIES = ("gaussian", "epanechnikov")
 class KernelSpec:
     family: str = "gaussian"
     bandwidth: float | str = "auto"    # "auto" = median pairwise training distance
-    distance: str = "euclidean"
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.distance != "euclidean":
-            raise ValueError(f"unknown distance {self.distance!r}")
         if self.bandwidth != "auto":
             h = float(self.bandwidth)
             if not np.isfinite(h) or h <= 0:

@@ -82,13 +82,11 @@ class SimInstance:
     config: SimConfig
     observed: np.ndarray              # Y = signal + noise
     signal: np.ndarray                # core contracted with the loadings
-    noise: np.ndarray
     core: np.ndarray
     a_loadings: list                  # orthonormal columns
     g_loadings: list                  # covariate-driven part, orthonormal columns
     gamma: list                       # orthogonal part, column norm tau (pre-QR)
     covariates: list                  # I_m x D uniforms
-    xi: list                          # raw basis coefficients per mode
     loading_functions: list           # callables X (n x D) -> n x R
 
 
@@ -142,7 +140,7 @@ def generate(config: SimConfig) -> SimInstance:
         raise ValueError("degenerate random core draw")
     core = core * (min(dims) ** config.alpha / lam_min)
 
-    a_list, g_list, gamma_list, x_list, xi_list, fun_list = [], [], [], [], [], []
+    a_list, g_list, gamma_list, x_list, fun_list = [], [], [], [], []
     for m, I in enumerate(dims):
         X = rng.uniform(size=(I, D))
         if config.scheme == "additive":
@@ -150,11 +148,9 @@ def generate(config: SimConfig) -> SimInstance:
             xi = rng.standard_normal((D, J, R))
             coeffs = _additive_coeffs(xi0, xi, config.kappa)
             g_raw = eval_basis(X, true_spec) @ coeffs
-            xi_store = {"intercept": xi0, "terms": xi}
         else:
             xi = rng.standard_normal((D, J + 1, R))
             g_raw = _multiplicative_raw(X, xi, config.kappa)
-            xi_store = {"terms": xi}
 
         q, r_up = np.linalg.qr(g_raw)
         diag = np.diag(r_up)
@@ -190,15 +186,17 @@ def generate(config: SimConfig) -> SimInstance:
         g_list.append(g_unit)
         gamma_list.append(gamma)
         x_list.append(X)
-        xi_list.append(xi_store)
         fun_list.append(fun)
 
     signal = multi_mode_product(core, a_list)
-    noise = rng.standard_normal(dims)
-    return SimInstance(config=config, observed=signal + noise, signal=signal,
-                       noise=noise, core=core, a_loadings=a_list,
-                       g_loadings=g_list, gamma=gamma_list, covariates=x_list,
-                       xi=xi_list, loading_functions=fun_list)
+    # the noise is drawn into the observation itself, so no separate
+    # noise tensor stays alive
+    observed = rng.standard_normal(dims)
+    observed += signal
+    return SimInstance(config=config, observed=observed, signal=signal,
+                       core=core, a_loadings=a_list, g_loadings=g_list,
+                       gamma=gamma_list, covariates=x_list,
+                       loading_functions=fun_list)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ import pytest
 
 from stefa.estimator import (DegenerateCoreError, RankExceedsSpanError,
                              calibrate, estimate_core, estimate_loadings,
-                             estimate_ranks, fit_stefa, hooi, ipsvd_init,
-                             ipsvd_iterate, load_fit, save_fit,
-                             subspace_distance)
+                             estimate_ranks, fit_stefa, hooi, ipsvd_iterate,
+                             load_fit, save_fit, subspace_distance)
 from stefa.sieve import BasisSpec, build_design, projector_apply
 from stefa.simlab import SimConfig, generate
 from stefa.tensor import (check_tucker_ranks, matricize, multi_mode_product,
@@ -220,7 +219,7 @@ def test_no_designs_runs_hooi_semantics():
 def test_rank_exceeds_span_error():
     inst, designs = inspan_instance(dims=(12, 12, 12), degree=1)  # span dim 3
     with pytest.raises(RankExceedsSpanError):
-        ipsvd_init(inst.observed, designs, (4, 2, 2))
+        ipsvd_iterate(inst.observed, designs, (4, 2, 2))
 
 
 def test_degenerate_core_error_on_overspecified_rank():
@@ -231,64 +230,83 @@ def test_degenerate_core_error_on_overspecified_rank():
 
 def test_iterate_trace_and_convergence():
     inst, designs = inspan_instance(seed=7)
-    init = ipsvd_init(inst.signal, designs, (2, 2, 2))
-    factors, trace, converged = ipsvd_iterate(inst.signal, designs, (2, 2, 2),
-                                              init)
+    factors, trace, converged = ipsvd_iterate(inst.signal, designs, (2, 2, 2))
     assert converged
     assert trace[-1] < 1e-8
 
 
-def reference_ipsvd_iterate(Y, designs, ranks, init, max_iter=50, tol=1e-8,
-                            update_order=None, fixed_modes=()):
-    """The projected loop in the full space: every update contracts Y with
-    the other modes' factors and projects onto the mode's sieve span."""
-    scales = np.sqrt(np.asarray(Y.shape, dtype=float))
-    units = [g / s for g, s in zip(init, scales)]
-    active = [m for m in range(Y.ndim) if m not in fixed_modes]
-    order = list(update_order) if update_order is not None else active
+def reference_ipsvd_iterate(Y, designs, ranks, max_iter=50, tol=1e-8,
+                            identity_modes=()):
+    """IP-SVD in the full space: the start of mode m is the top left singular
+    vectors of Y projected onto every mode's sieve span (P_j = B_j B_j^T, the
+    identity without a design), and every update contracts Y with the other
+    modes' factors and projects onto the mode's sieve span.  Identity modes
+    keep the identity factor."""
+    modes = [m for m in range(Y.ndim) if m not in identity_modes]
+    projected = multi_mode_product(Y, {j: d.basis @ d.basis.T
+                                       for j, d in enumerate(designs)
+                                       if d is not None})
+    units = [top_left_singular_vectors(matricize(projected, m), ranks[m])
+             if m in modes else np.eye(Y.shape[m]) for m in range(Y.ndim)]
     trace = []
     for _ in range(max_iter):
         prev = list(units)
-        for m in order:
+        for m in modes:
             mats = {j: units[j].T for j in range(Y.ndim) if j != m}
             mat = matricize(multi_mode_product(Y, mats), m)
             if designs[m] is not None:
                 mat = projector_apply(designs[m], mat)
             units[m] = top_left_singular_vectors(mat, ranks[m])
-        trace.append(max(subspace_distance(units[m], prev[m]) for m in active))
+        trace.append(max(subspace_distance(units[m], prev[m]) for m in modes))
         if trace[-1] < tol:
             break
+    scales = np.sqrt(np.asarray(Y.shape, dtype=float))
     return [u * s for u, s in zip(units, scales)], trace
 
 
 @pytest.mark.parametrize("case", ["all_designs", "one_without_design",
-                                  "identity_mode", "update_order"])
+                                  "identity_mode"])
 def test_compressed_iteration_matches_full_space_reference(case):
     dims = (20, 20, 10) if case == "identity_mode" else (30, 30, 30)
     inst, designs = inspan_instance(dims=dims, seed=20, alpha=0.5)
     y = inst.observed
-    ranks, kwargs = (2, 2, 2), {}
+    kwargs = {}
     if case == "one_without_design":
         designs[1] = None
     elif case == "identity_mode":
+        # the identity mode's rank is its extent, whatever ranks holds
         designs[2] = None
-    elif case == "update_order":
-        kwargs = {"update_order": (2, 0, 1)}
-    init = ipsvd_init(y, designs, ranks)
-    if case == "identity_mode":
-        # as fit_stefa sets it up: full extent and an identity factor
-        ranks, kwargs = (2, 2, 10), {"fixed_modes": (2,)}
-        init[2] = np.sqrt(10) * np.eye(10)
+        kwargs = {"identity_modes": (2,)}
 
-    factors, trace, converged = ipsvd_iterate(y, designs, ranks, init, **kwargs)
-    ref, ref_trace = reference_ipsvd_iterate(y, designs, ranks, init, **kwargs)
+    factors, trace, converged = ipsvd_iterate(y, designs, (2, 2, 2), **kwargs)
+    ref, ref_trace = reference_ipsvd_iterate(y, designs, (2, 2, 2), **kwargs)
     assert len(trace) == len(ref_trace) > 2
     assert converged
     assert np.allclose(trace, ref_trace, rtol=0.0, atol=1e-10)
     for m in range(3):
+        rank = dims[m] if m in kwargs.get("identity_modes", ()) else 2
+        assert factors[m].shape == (dims[m], rank)
         assert subspace_distance(factors[m], ref[m]) <= 1e-10
         assert np.allclose(factors[m].T @ factors[m] / dims[m],
-                           np.eye(ranks[m]), atol=1e-10)
+                           np.eye(rank), atol=1e-10)
+
+
+def test_fixed_rank_fit_compresses_the_tensor_once(monkeypatch):
+    import stefa.tensor
+    inst, designs = inspan_instance(dims=(20, 22, 24), seed=23, alpha=0.5)
+    y = inst.observed
+    narrowing = []
+    mode_product = stefa.tensor.mode_product
+
+    def counting(t, mat, mode):
+        basis = designs[mode].basis
+        if t.shape == y.shape and np.array_equal(mat, basis.T):
+            narrowing.append(mode)
+        return mode_product(t, mat, mode)
+
+    monkeypatch.setattr(stefa.tensor, "mode_product", counting)
+    fit_stefa(y, designs, ranks=(2, 2, 2))
+    assert len(narrowing) == 1
 
 
 def test_unconverged_fit_is_flagged():
@@ -370,6 +388,22 @@ def test_identity_mode():
     with pytest.raises(ValueError):
         fit_stefa(inst.signal, [designs[0], designs[1], designs[0]],
                   ranks=(2, 2, 2), identity_modes=(2,))
+
+
+@pytest.mark.parametrize("ranks", [None, (3, 4, 1), (3, 3, 12)])
+def test_identity_mode_counts_at_its_extent(ranks):
+    # the identity mode's extent 12 exceeds the product of the other ranks;
+    # its entry in ranks is ignored and it enters the others' products at 12
+    inst = generate(SimConfig(dims=(60, 60, 12), rank=3, alpha=0.7, j_star=4,
+                              seed=3))
+    designs = [build_design(X, BasisSpec(degree=4)) for X in inst.covariates[:2]]
+    fit = fit_stefa(inst.observed, designs + [None], ranks=ranks,
+                    identity_modes=(2,))
+    assert fit.ranks[2] == 12
+    if ranks is not None:
+        assert fit.ranks[:2] == ranks[:2]
+    assert fit.core.shape == fit.ranks
+    assert np.array_equal(fit.a_loadings[2], np.eye(12))
 
 
 # ---------------------------------------------------------------------------

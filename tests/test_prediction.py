@@ -94,8 +94,6 @@ def test_kernel_spec_validation():
         KernelSpec(family="tricube")
     with pytest.raises(ValueError):
         KernelSpec(bandwidth=-1.0)
-    with pytest.raises(ValueError):
-        KernelSpec(distance="cosine")
 
 
 # ---------------------------------------------------------------------------
