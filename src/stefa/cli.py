@@ -128,7 +128,7 @@ def _parse_ranks(text, order):
 # subcommands
 
 def cmd_fit(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     Y = _load_tensor(args.tensor)
     cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
     spec = _parse_basis(args.basis)
@@ -138,8 +138,9 @@ def cmd_fit(args) -> int:
                     tol=args.tol)
     save_fit(fit, designs, args.out)
     inputs = [args.tensor] + [p for p in cov_paths if p]
+    timings = dict(fit.diagnostics["timings"], total=time.perf_counter() - t0)
     _write_manifest(args.out, "fit", _options_dict(args), inputs, args.seed,
-                    {"total": time.time() - t0})
+                    timings)
     print(f"fit written to {args.out}; ranks {','.join(map(str, fit.ranks))}; "
           f"{fit.iterations_used} iterations"
           + ("" if fit.converged else " (not converged)"))
@@ -147,7 +148,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_ranks(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     Y = _load_tensor(args.tensor)
     cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
     spec = _parse_basis(args.basis)
@@ -162,12 +163,12 @@ def cmd_ranks(args) -> int:
     if args.out:
         inputs = [args.tensor] + [p for p in cov_paths if p]
         _write_manifest(args.out, "ranks", _options_dict(args), inputs,
-                        args.seed, {"total": time.time() - t0})
+                        args.seed, {"total": time.perf_counter() - t0})
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not os.path.isdir(args.fit):
         raise UsageError(f"fit directory not found: {args.fit}")
     fit, designs = load_fit(args.fit)
@@ -195,13 +196,14 @@ def cmd_predict(args) -> int:
     out_path = os.path.join(args.out, "prediction.tns")
     write_tns(out_path, pred)
     _write_manifest(args.out, "predict", _options_dict(args),
-                    [args.new_covariates], None, {"total": time.time() - t0})
+                    [args.new_covariates], None,
+                    {"total": time.perf_counter() - t0})
     print(f"prediction written to {out_path}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.protocol not in PROTOCOLS:
         raise UsageError(f"unknown protocol {args.protocol!r}; choose from "
                          f"{', '.join(sorted(PROTOCOLS))}")
@@ -213,7 +215,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _write_manifest(args.out, "simulate", _options_dict(args), [], args.seed,
-                    {"total": time.time() - t0})
+                    {"total": time.perf_counter() - t0})
     print(f"results written to {os.path.join(args.out, 'results.csv')}")
     return EXIT_OK
 

@@ -7,26 +7,36 @@ its mode-wise Gram matrices are diagonal with decreasing entries.  With B_m
 the orthonormal sieve basis of mode m, a projected update satisfies
 ``P_m Y_(m) (x_j U_j) = B_m Z_(m) (x_j W_j)`` where Z is Y contracted with
 every ``B_m^T`` and ``U_j = B_j W_j``; so IP-SVD, its spectral start
-included, runs as HOOI on the sieve-compressed tensor Z, formed once, and
-its factors are lifted by B_m at the end.  Modes without covariates stay
-uncompressed (unprojected updates), so with no designs at all the machinery
-reduces to plain HOOI, which shares the loop.
+included, runs as HOOI on the sieve-compressed tensor Z, and its factors are
+lifted by B_m at the end.  Modes without covariates stay uncompressed
+(unprojected updates), so with no designs at all the machinery reduces to
+plain HOOI, which shares the loop.
+
+Every estimate after the data step lies in the sieve spans, so a fit reads Y
+only through its sieve statistics (:func:`compress`, the projected-PCA
+argument of Fan, Liao & Wang, 2016): ``||Y||^2``, Z, and per covariate mode
+the leave-one-out compression ``L_m = Y x_{j != m} B_j^T``.  The ranks and
+the iteration use Z and ``||Y||^2``, the core Z, and the loadings the L_m,
+because ``Y x_{j != m} U_j^T = L_m x_{j != m} (B_j^T U_j)^T`` when each U_j
+lies in span(B_j).  Forming the statistics reads Y three times: once for
+``||Y||^2`` and twice for the L_m, whatever the order of the tensor.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .sieve import (BasisSpec, SieveDesign, build_design, projector_apply,
                     read_covariates_csv, write_covariates_csv)
-from .tensor import (check_tucker_ranks, eigenvalues_symmetric, fix_signs,
-                     matricize, mode_gram, mode_product, multi_mode_product,
-                     read_tns, top_eigenvectors, top_left_singular_vectors,
-                     write_tns)
+from .tensor import (eigenvalues_symmetric, fix_signs, matricize, mode_gram,
+                     mode_product, multi_mode_product, read_tns,
+                     top_eigenvectors, top_left_singular_vectors, write_tns)
 
 __all__ = [
     "EstimationError",
@@ -34,8 +44,10 @@ __all__ = [
     "RankExceedsSpanError",
     "HooiFit",
     "StefaFit",
+    "SieveStats",
     "orthonormal_basis",
     "subspace_distance",
+    "compress",
     "hooi",
     "ipsvd_iterate",
     "estimate_core",
@@ -132,6 +144,17 @@ class StefaFit:
         return multi_mode_product(self.core, self.g_loadings)
 
 
+@dataclass(frozen=True, eq=False)
+class SieveStats:
+    """What a fit reads of the observed tensor Y; see :func:`compress`."""
+    shape: tuple                  # extents of Y
+    size: int                     # entry count of Y
+    sq_norm: float                # ||Y||^2
+    compressed: np.ndarray        # Z: Y contracted with every B_m^T
+    leave_one_out: tuple          # per mode m, Y contracted with each B_j^T, j != m
+    bases: tuple                  # per mode, the orthonormal sieve basis or None
+
+
 # ---------------------------------------------------------------------------
 # shared machinery
 
@@ -188,10 +211,12 @@ def _check_iteration_controls(max_iter, tol) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
-def _compress(Y: np.ndarray, designs) -> np.ndarray:
-    """Contract every covariate mode with the transpose of its sieve basis."""
-    mats = {m: d.basis.T for m, d in enumerate(designs) if d is not None}
-    return multi_mode_product(Y, mats) if mats else Y
+@contextmanager
+def _stage(timings, name):
+    """Record the wall seconds of the ``with`` block as ``timings[name]``."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
 
 
 def _leave_one_out(T, units, modes):
@@ -240,6 +265,62 @@ def _power_iteration(T, units, ranks, modes, max_iter, tol):
 
 
 # ---------------------------------------------------------------------------
+# sieve statistics
+
+def compress(Y: np.ndarray, designs=None, identity_modes=()) -> SieveStats:
+    """Sieve statistics of the observed tensor Y: all that a fit reads of it.
+
+    With B_m the orthonormal sieve basis of every mode m that has a design
+    and is not in ``identity_modes`` (a covariate mode), the statistics hold
+    ``||Y||^2``; the leave-one-out compressions ``L_m = Y x_{j != m} B_j^T``,
+    one per covariate mode (each I_m x J x J for three covariate modes); the
+    sieve-compressed tensor ``Z = L_m x_m B_m^T``; and the bases.  Other
+    modes are neither compressed nor contracted, so on a mode without a
+    basis the leave-one-out entry is Z itself, and with no designs Z and
+    every entry are Y itself, not copies.
+
+    Y is read three times: once by ``||Y||^2`` and twice by the compressions,
+    which share partial products (see :func:`_leave_one_out`).  A finite
+    ``||Y||^2`` shows that every entry is finite; only when it is not finite
+    are the entries checked one by one, so a non-finite entry raises
+    ``ValueError`` while finite entries whose squares overflow do not.
+    """
+    Y = np.ascontiguousarray(Y, dtype=float)
+    designs = _normalize_designs(designs, Y.ndim)
+    _check_design_shapes(Y, designs)
+    sq_norm = float(np.vdot(Y, Y))
+    if not np.isfinite(sq_norm) and not np.all(np.isfinite(Y)):
+        raise ValueError("tensor has non-finite entries")
+    bases = tuple(None if d is None or m in identity_modes else d.basis
+                  for m, d in enumerate(designs))
+    covariate = [m for m, b in enumerate(bases) if b is not None]
+    partial = dict(_leave_one_out(Y, bases, covariate))
+    compressed = Y
+    if covariate:
+        last = covariate[-1]
+        compressed = mode_product(partial[last], bases[last].T, last)
+    return SieveStats(shape=Y.shape, size=Y.size, sq_norm=sq_norm,
+                      compressed=compressed,
+                      leave_one_out=tuple(partial.get(m, compressed)
+                                          for m in range(Y.ndim)),
+                      bases=bases)
+
+
+def _statistics(Y, designs, identity_modes):
+    """``(stats, designs)``: the sieve statistics of ``Y``, formed here unless
+    ``Y`` already is :class:`SieveStats`, and the per-mode designs, which
+    must be the ones the statistics were compressed with."""
+    stats = (Y if isinstance(Y, SieveStats)
+             else compress(Y, designs, identity_modes))
+    designs = _normalize_designs(designs, len(stats.shape))
+    for m, (b, d) in enumerate(zip(stats.bases, designs)):
+        if b is not (None if d is None or m in identity_modes else d.basis):
+            raise ValueError(f"sieve statistics were not compressed with the "
+                             f"design of mode {m}")
+    return stats, designs
+
+
+# ---------------------------------------------------------------------------
 # HOOI baseline
 
 def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit:
@@ -256,13 +337,13 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     ``A^T A / I_m`` is the identity, and the final core is rotated so each
     mode-wise core Gram is diagonal with decreasing entries (the same
     calibration used by the projected estimator).  ``max_iter`` must be an
-    integer >= 1 and ``tol`` finite and >= 0.
+    integer >= 1 and ``tol`` finite and >= 0, and Y's entries finite (checked
+    by :func:`compress`).
     """
     _check_iteration_controls(max_iter, tol)
-    Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("tensor has non-finite entries")
-    ranks = check_tucker_ranks(ranks, Y.shape)
+    stats = compress(Y)               # no designs: its tensor is Y itself
+    Y = stats.compressed
+    ranks = _check_ranks(Y.shape, [None] * Y.ndim, ranks, ())
     modes = list(range(Y.ndim))
     units = [top_eigenvectors(mode_gram(Y, m), ranks[m]) for m in modes]
     start = multi_mode_product(Y, {m: u.T for m, u in enumerate(units)})
@@ -272,7 +353,7 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
 
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
     loadings = [u * s for u, s in zip(units, scales)]
-    core = estimate_core(Y, loadings)
+    core = estimate_core(stats, loadings)
     core, loadings, _ = calibrate(core, loadings)
     return HooiFit(core=core, loadings=loadings, ranks=ranks,
                    iterations_used=len(changes), objective_trace=trace,
@@ -282,13 +363,15 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
 # ---------------------------------------------------------------------------
 # iteratively projected SVD
 
-def ipsvd_iterate(Y: np.ndarray, designs, ranks, max_iter: int = 50,
-                  tol: float = 1e-8, identity_modes=()):
+def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8,
+                  identity_modes=()):
     """Iteratively projected SVD: projected spectral start and projected
     power iterations (Gauss-Seidel over modes).
 
-    Both run as HOOI on the sieve-compressed tensor Z, which is Y contracted
-    with ``B_m^T`` on every covariate mode m and is formed once.  The start
+    ``Y`` is the observed tensor or its :class:`SieveStats` (from
+    :func:`compress` with the same ``designs`` and ``identity_modes``).  The
+    start and the sweeps run as HOOI on the sieve-compressed tensor Z, which
+    is Y contracted with ``B_m^T`` on every covariate mode m.  The start
     of mode m is the top eigenvectors of Z's mode-m Gram, the coordinates
     ``W_m`` of the projected spectral start ``B_m W_m``; the sweeps update
     the W_m, whose subspace change the orthonormal B_m leaves unchanged, and
@@ -303,38 +386,43 @@ def ipsvd_iterate(Y: np.ndarray, designs, ranks, max_iter: int = 50,
     Returns ``(factors, trace, converged)`` where ``trace`` holds the maximal
     per-sweep subspace change.
     """
-    Y = np.asarray(Y, dtype=float)
-    designs = _normalize_designs(designs, Y.ndim)
-    _check_design_shapes(Y, designs)
-    ranks = _check_ranks(Y.shape, designs, ranks, identity_modes)
-    scales = np.sqrt(np.asarray(Y.shape, dtype=float))
-    modes = [m for m in range(Y.ndim) if m not in identity_modes]
+    stats, designs = _statistics(Y, designs, identity_modes)
+    ranks = _check_ranks(stats.shape, designs, ranks, identity_modes)
+    scales = np.sqrt(np.asarray(stats.shape, dtype=float))
+    modes = [m for m in range(len(stats.shape)) if m not in identity_modes]
 
-    compressed = _compress(Y, designs)
+    compressed = stats.compressed
     units = [top_eigenvectors(mode_gram(compressed, m), ranks[m])
-             if m in modes else None for m in range(Y.ndim)]
+             if m in modes else None for m in range(compressed.ndim)]
     trace, _, converged = _power_iteration(compressed, units, ranks, modes,
                                            max_iter, tol)
 
     factors = []
-    for m, (u, d) in enumerate(zip(units, designs)):
+    for m, (u, b) in enumerate(zip(units, stats.bases)):
         if u is None:
-            u = np.eye(Y.shape[m])
-        elif d is not None:
-            u = fix_signs(d.basis @ u)
+            u = np.eye(stats.shape[m])
+        elif b is not None:
+            u = fix_signs(b @ u)
         factors.append(u * scales[m])
     return factors, trace, converged
 
 
-def estimate_core(Y: np.ndarray, factors) -> np.ndarray:
-    """Least-squares core: Y contracted with every factor, divided by prod(I)."""
-    Y = np.asarray(Y, dtype=float)
+def estimate_core(Y, factors) -> np.ndarray:
+    """Least-squares core: Y contracted with every factor, divided by prod(I).
+
+    From sieve statistics (:func:`compress`) the core is Z contracted with
+    each factor's coordinates ``B_m^T G_m`` (``G_m`` itself on a mode without
+    a basis), which equals the contraction of Y when each G_m lies in the
+    span of B_m, as IP-SVD's factors do.
+    """
+    stats = Y if isinstance(Y, SieveStats) else compress(Y)
     for m, g in enumerate(factors):
-        if g.shape[0] != Y.shape[m]:
+        if g.shape[0] != stats.shape[m]:
             raise ValueError(f"factor for mode {m} has {g.shape[0]} rows, tensor "
-                             f"extent is {Y.shape[m]}")
-    contracted = multi_mode_product(Y, {m: g.T for m, g in enumerate(factors)})
-    return contracted / float(np.prod(Y.shape))
+                             f"extent is {stats.shape[m]}")
+    coords = {m: (g if b is None else b.T @ g).T
+              for m, (g, b) in enumerate(zip(factors, stats.bases))}
+    return multi_mode_product(stats.compressed, coords) / float(stats.size)
 
 
 def calibrate(core: np.ndarray, factors, fixed_modes=()):
@@ -359,28 +447,35 @@ def calibrate(core: np.ndarray, factors, fixed_modes=()):
     return new_core, new_factors, flags
 
 
-def estimate_loadings(Y: np.ndarray, designs, core: np.ndarray, g_loadings,
+def estimate_loadings(Y, designs, core: np.ndarray, g_loadings,
                       identity_modes=()):
     """Full loadings, their covariate-orthogonal parts, and sieve coefficients.
 
     The mode-m loading regresses the (other-mode projected) observation onto
     the core contracted with the other modes' G loadings; the orthogonal part
     is its residual after sieve projection.  The loading of a mode in
-    ``identity_modes`` is the identity, so that mode is not contracted.  The
-    contractions for all modes share partial products and read Y twice.
+    ``identity_modes`` is the identity, so that mode is not contracted.
+
+    ``Y`` is the observed tensor or its :class:`SieveStats`.  The G loadings
+    lie in the sieve spans, so the mode-m contraction ``Y x_{j != m} U_j^T``
+    (``U_j = G_j / sqrt(I_j)``) is formed from the statistics as
+    ``S_m x_{j != m} c_j^T`` with coordinates ``c_j = B_j^T U_j`` (U_j on a
+    mode without a basis), S_m being the leave-one-out compression L_m on a
+    covariate mode and Z on a mode without a basis.
     """
-    Y = np.asarray(Y, dtype=float)
-    designs = _normalize_designs(designs, Y.ndim)
-    scales = np.sqrt(np.asarray(Y.shape, dtype=float))
-    units = [None if m in identity_modes else g / s
-             for m, (g, s) in enumerate(zip(g_loadings, scales))]
-    modes = [m for m in range(Y.ndim) if m not in identity_modes]
-    contractions = dict(_leave_one_out(Y, units, modes))
+    stats, designs = _statistics(Y, designs, identity_modes)
+    shape = stats.shape
+    scales = np.sqrt(np.asarray(shape, dtype=float))
+    modes = [m for m in range(len(shape)) if m not in identity_modes]
+    coords = {}
+    for m in modes:
+        u, b = g_loadings[m] / scales[m], stats.bases[m]
+        coords[m] = (u if b is None else b.T @ u).T
     a_loadings, gammas, coeffs = [], [], []
-    for m in range(Y.ndim):
+    for m in range(len(shape)):
         if m in identity_modes:
-            a_loadings.append(np.eye(Y.shape[m]))
-            gammas.append(np.zeros((Y.shape[m], Y.shape[m])))
+            a_loadings.append(np.eye(shape[m]))
+            gammas.append(np.zeros((shape[m], shape[m])))
             coeffs.append(None)
             continue
         gram = matricize(core, m)
@@ -389,9 +484,11 @@ def estimate_loadings(Y: np.ndarray, designs, core: np.ndarray, g_loadings,
         if w[-1] < 1e-12 * np.trace(gram):
             raise DegenerateCoreError(
                 f"degenerate core (mode {m}): rank may be misspecified")
-        numer = matricize(contractions[m], m) @ matricize(core, m).T
+        others = {j: c for j, c in coords.items() if j != m}
+        contracted = multi_mode_product(stats.leave_one_out[m], others)
+        numer = matricize(contracted, m) @ matricize(core, m).T
         a_m = numer @ np.linalg.pinv(gram, rcond=1e-12)
-        a_m /= np.sqrt(np.prod(Y.shape) / Y.shape[m])
+        a_m /= np.sqrt(stats.size / shape[m])
         a_loadings.append(a_m)
 
         d = designs[m]
@@ -405,11 +502,16 @@ def estimate_loadings(Y: np.ndarray, designs, core: np.ndarray, g_loadings,
     return a_loadings, gammas, coeffs
 
 
-def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
+def fit_stefa(Y, designs=None, ranks=None, identity_modes=(),
               max_iter: int = 50, tol: float = 1e-8) -> StefaFit:
-    """Full pipeline: iteratively projected SVD (:func:`ipsvd_iterate`, which
-    also checks the ranks), core projection, orthogonal calibration, and
-    loading extraction.
+    """Full pipeline: sieve statistics (:func:`compress`), iteratively
+    projected SVD (:func:`ipsvd_iterate`, which also checks the ranks), core
+    projection, orthogonal calibration, and loading extraction.  Every stage
+    after the first works on the statistics, so the fit reads Y three times;
+    ``Y`` may also be statistics already compressed with ``designs`` and
+    ``identity_modes``.  ``diagnostics["timings"]`` holds the wall seconds of
+    each stage: compress, ranks (0 with given ranks), iterate, core,
+    calibrate and loadings.
 
     ``designs`` is a per-mode list of :class:`SieveDesign` or None (no
     covariates for that mode, meaning unprojected updates).  Modes listed in
@@ -424,35 +526,41 @@ def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
     below ``tol`` carries the flag ``"not converged after N sweeps"``.
     """
     _check_iteration_controls(max_iter, tol)
-    Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("tensor has non-finite entries")
-    designs = _normalize_designs(designs, Y.ndim)
     identity_modes = tuple(sorted(set(identity_modes)))
-
-    if ranks is None:
-        ranks = estimate_ranks(Y, designs, skip_modes=identity_modes)
-    factors, trace, converged = ipsvd_iterate(
-        Y, designs, ranks, max_iter=max_iter, tol=tol,
-        identity_modes=identity_modes)
+    timings = {}
+    with _stage(timings, "compress"):
+        stats, designs = _statistics(Y, designs, identity_modes)
+    with _stage(timings, "ranks"):
+        if ranks is None:
+            ranks = estimate_ranks(stats, designs, skip_modes=identity_modes)
+    with _stage(timings, "iterate"):
+        factors, trace, converged = ipsvd_iterate(
+            stats, designs, ranks, max_iter=max_iter, tol=tol,
+            identity_modes=identity_modes)
     ranks = tuple(g.shape[1] for g in factors)
-    core = estimate_core(Y, factors)
-    core, factors, flags = calibrate(core, factors, fixed_modes=identity_modes)
-    a_loadings, gammas, coeffs = estimate_loadings(
-        Y, designs, core, factors, identity_modes=identity_modes)
+    with _stage(timings, "core"):
+        core = estimate_core(stats, factors)
+    with _stage(timings, "calibrate"):
+        core, factors, flags = calibrate(core, factors,
+                                         fixed_modes=identity_modes)
+    with _stage(timings, "loadings"):
+        a_loadings, gammas, coeffs = estimate_loadings(
+            stats, designs, core, factors, identity_modes=identity_modes)
 
     # identity modes keep the plain identity loading; fold its sqrt(I) scale
     # into the core so reconstruction conventions match the other modes
     for m in identity_modes:
-        core = core * np.sqrt(Y.shape[m])
-        factors[m] = np.eye(Y.shape[m])
+        core = core * np.sqrt(stats.shape[m])
+        factors[m] = np.eye(stats.shape[m])
 
     if all(d is None for d in designs):
         flags.append("no sieve projection")
     if not converged:
         flags.append(f"not converged after {len(trace)} sweeps")
 
-    diagnostics = _fit_diagnostics(Y, designs, core, factors, gammas, identity_modes)
+    diagnostics = _fit_diagnostics(stats.shape, designs, core, factors, gammas,
+                                   identity_modes)
+    diagnostics["timings"] = timings
     return StefaFit(core=core, g_loadings=factors, a_loadings=a_loadings,
                     gamma=gammas, sieve_coeffs=coeffs, ranks=ranks,
                     iterations_used=len(trace), subspace_change_trace=trace,
@@ -460,11 +568,11 @@ def fit_stefa(Y: np.ndarray, designs=None, ranks=None, identity_modes=(),
                     flags=flags, diagnostics=diagnostics)
 
 
-def _fit_diagnostics(Y, designs, core, factors, gammas, identity_modes):
+def _fit_diagnostics(shape, designs, core, factors, gammas, identity_modes):
     per_mode = []
-    for m in range(Y.ndim):
+    for m in range(len(shape)):
         g = factors[m]
-        ortho = float(np.linalg.norm(g.T @ g / Y.shape[m] - np.eye(g.shape[1])))
+        ortho = float(np.linalg.norm(g.T @ g / shape[m] - np.eye(g.shape[1])))
         gram = matricize(core, m)
         gram = gram @ gram.T
         off = gram - np.diag(np.diag(gram))
@@ -490,11 +598,14 @@ def _round_half_away(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def estimate_ranks(Y: np.ndarray, designs=None, k_max: int | None = None,
+def estimate_ranks(Y, designs=None, k_max: int | None = None,
                    skip_modes=(), return_profile: bool = False):
     """Noise-edge rank estimate per mode on the sieve-projected tensor.
 
-    Z is Y contracted with every covariate mode's orthonormal sieve basis.
+    ``Y`` is the observed tensor or its :class:`SieveStats` (compressed with
+    ``designs`` and with ``skip_modes`` as the identity modes); the estimate
+    reads only Z and ``||Y||^2``.  Z is Y contracted with every covariate
+    mode's orthonormal sieve basis.
     The noise variance is estimated from the energy outside the sieve spans,
     ``sigma2 = (||Y||^2 - ||Z||^2) / (N - |Z|)``, which signal inside the
     spans does not reach.  The rank of mode m is the number of eigenvalues of
@@ -516,31 +627,30 @@ def estimate_ranks(Y: np.ndarray, designs=None, k_max: int | None = None,
     ratio argmax ``lambda_k / lambda_{k+1}`` over the same range, with the
     floor guarding the denominators, and the profile holds those ratios.
     """
-    Y = np.asarray(Y, dtype=float)
-    designs = _normalize_designs(designs, Y.ndim)
-    _check_design_shapes(Y, designs)
-    compressed = _compress(Y, designs)
+    stats, designs = _statistics(Y, designs, skip_modes)
+    shape = stats.shape
+    compressed = stats.compressed
     if not np.any(compressed):
         raise ValueError("projected tensor is zero; cannot estimate ranks")
-    outside = Y.size - compressed.size
+    outside = stats.size - compressed.size
     sigma2 = None
     if outside > 0:
-        energy = float(np.vdot(Y, Y)) - float(np.vdot(compressed, compressed))
+        energy = stats.sq_norm - float(np.vdot(compressed, compressed))
         sigma2 = max(energy, 0.0) / outside
 
     ranks = []
     profiles = []
-    for m in range(Y.ndim):
+    for m in range(len(shape)):
         if m in skip_modes:
-            ranks.append(Y.shape[m])
+            ranks.append(shape[m])
             profiles.append(np.array([]))
             continue
         lam = np.clip(eigenvalues_symmetric(mode_gram(compressed, m)), 0.0, None)
         n = compressed.shape[m]
         p = compressed.size // n
 
-        other = int(np.prod(Y.shape, dtype=np.int64)) // Y.shape[m]
-        cap = _round_half_away(min(Y.shape[m], other) / 2.0)
+        other = stats.size // shape[m]
+        cap = _round_half_away(min(shape[m], other) / 2.0)
         if k_max is not None:
             cap = min(cap, int(k_max))
         structural = min(n, p)
@@ -562,7 +672,7 @@ def estimate_ranks(Y: np.ndarray, designs=None, k_max: int | None = None,
     # counts chosen mode by mode can break the Tucker condition; at most one
     # mode can exceed the product of the others, and capping it there keeps
     # the rest valid
-    for m in range(Y.ndim):
+    for m in range(len(shape)):
         if m not in skip_modes:
             others = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
             ranks[m] = min(ranks[m], others)
@@ -584,16 +694,47 @@ def _read_matrix_csv(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-_REPORT_KEYS = ("ranks", "iterations_used", "subspace_change_trace",
-                "converged", "identity_modes", "flags", "diagnostics", "basis")
-_BASIS_KEYS = ("family", "degree", "include_intercept", "domain")
+def _is(kind):
+    return lambda v: isinstance(v, kind)
+
+
+def _list_of(kind):
+    return lambda v: isinstance(v, list) and all(isinstance(x, kind) for x in v)
+
+
+# the required keys of report.json and of each mode's basis entry, with the
+# type their values must have
+_REPORT_KEYS = {
+    "ranks": ("a list of integers", _list_of(int)),
+    "iterations_used": ("an integer", _is(int)),
+    "subspace_change_trace": ("a list of numbers", _list_of((int, float))),
+    "converged": ("true or false", _is(bool)),
+    "identity_modes": ("a list of integers", _list_of(int)),
+    "flags": ("a list of strings", _list_of(str)),
+    "diagnostics": ("an object", _is(dict)),
+    "basis": ("an object", _is(dict)),
+}
+_BASIS_KEYS = {
+    "family": ("a string", _is(str)),
+    "degree": ("an integer", _is(int)),
+    "include_intercept": ("true or false", _is(bool)),
+    "domain": ("a list of numbers", _list_of((int, float))),
+}
 
 
 def _require_keys(mapping, keys, where) -> None:
+    """Raise ``ValueError`` unless ``mapping`` is an object that holds every
+    key of ``keys`` with a value of that key's type."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} is not an object")
     missing = [k for k in keys if k not in mapping]
     if missing:
         raise ValueError(f"{where} lacks required key(s) "
                          f"{', '.join(repr(k) for k in missing)}")
+    for key, (kind, test) in keys.items():
+        if not test(mapping[key]):
+            raise ValueError(f"{where} key {key!r} must be {kind}, got "
+                             f"{mapping[key]!r}")
 
 
 def save_fit(fit: StefaFit, designs, out_dir) -> None:
@@ -635,8 +776,9 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
 def load_fit(fit_dir):
     """Read a fit directory back into ``(StefaFit, designs)``.
 
-    Raises ``ValueError`` when ``report.json`` lacks a required key or when
-    the core's extents disagree with the ranks or the loading shapes.
+    Raises ``ValueError`` when ``report.json`` lacks a required key, holds a
+    value of the wrong type, or when the core's extents disagree with the
+    ranks or the loading shapes.
     """
     with open(os.path.join(fit_dir, "report.json")) as fh:
         report = json.load(fh)

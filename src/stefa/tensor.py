@@ -25,12 +25,10 @@ __all__ = [
     "mode_product",
     "multi_mode_product",
     "mode_gram",
-    "frobenius_norm",
     "top_left_singular_vectors",
     "top_eigenvectors",
     "eigenvalues_symmetric",
     "fix_signs",
-    "check_tucker_ranks",
     "read_tns",
     "write_tns",
 ]
@@ -129,10 +127,6 @@ def mode_gram(t: np.ndarray, mode: int) -> np.ndarray:
     return gram
 
 
-def frobenius_norm(t: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(t).ravel()))
-
-
 def fix_signs(u: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive."""
     u = np.asarray(u)
@@ -180,23 +174,6 @@ def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
     if np.max(np.abs(mat - mat.T)) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh((mat + mat.T) / 2.0)[::-1]
-
-
-def check_tucker_ranks(ranks, dims) -> tuple[int, ...]:
-    """Validate user-supplied Tucker ranks against tensor dims."""
-    ranks = tuple(int(r) for r in ranks)
-    dims = tuple(int(d) for d in dims)
-    if len(ranks) != len(dims):
-        raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
-    for m, (r, d) in enumerate(zip(ranks, dims)):
-        if not 1 <= r <= d:
-            raise ValueError(f"rank {r} for mode {m} not in [1, {d}]")
-    for m, r in enumerate(ranks):
-        other = int(np.prod([x for i, x in enumerate(ranks) if i != m], dtype=np.int64))
-        if r > other:
-            raise ValueError(f"rank {r} for mode {m} exceeds product of the "
-                             f"other ranks ({other})")
-    return ranks
 
 
 def read_tns(path) -> np.ndarray:

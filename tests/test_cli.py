@@ -42,6 +42,11 @@ def test_fit_auto_ranks(workdir, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "fit"
     assert str(root / "y.tns") in manifest["input_digests"]
+    stages = {"compress", "ranks", "iterate", "core", "calibrate", "loadings"}
+    timings = report["diagnostics"]["timings"]
+    assert set(timings) == stages and min(timings.values()) >= 0.0
+    timings = manifest["timings_seconds"]
+    assert set(timings) == stages | {"total"} and min(timings.values()) >= 0.0
 
 
 def test_fit_rejects_nonpositive_rank(workdir, capsys):
@@ -155,6 +160,27 @@ def test_predict_on_report_without_required_key_is_usage_error(workdir, capsys):
                  "--out", str(root / "pred_missing_key")])
     assert code == 2
     assert "'identity_modes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("basis", []), ("identity_modes", 5),
+                                        ("ranks", 3), ("degree", "x")])
+def test_predict_on_report_with_wrong_value_type_is_usage_error(
+        workdir, capsys, key, value):
+    root, _ = workdir
+    fit_dir = root / f"fit_bad_{key}"
+    shutil.copytree(root / "fit_auto", fit_dir)
+    report = json.loads((fit_dir / "report.json").read_text())
+    if key == "degree":
+        report["basis"]["0"]["degree"] = value
+    else:
+        report[key] = value
+    (fit_dir / "report.json").write_text(json.dumps(report))
+    code = main(["predict", "--fit", str(fit_dir),
+                 "--new-covariates", str(root / "x1.csv"),
+                 "--out", str(root / f"pred_bad_{key}")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"'{key}'" in err and "Traceback" not in err
 
 
 def test_predict_without_covariates_is_numeric_error(workdir, capsys):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from stefa.estimator import (DegenerateCoreError, RankExceedsSpanError,
-                             calibrate, estimate_core, estimate_loadings,
-                             estimate_ranks, fit_stefa, hooi, ipsvd_iterate,
-                             load_fit, save_fit, subspace_distance)
+                             _check_ranks, calibrate, compress, estimate_core,
+                             estimate_loadings, estimate_ranks, fit_stefa, hooi,
+                             ipsvd_iterate, load_fit, save_fit,
+                             subspace_distance)
 from stefa.sieve import BasisSpec, build_design, projector_apply
 from stefa.simlab import SimConfig, generate
-from stefa.tensor import (check_tucker_ranks, matricize, multi_mode_product,
-                          top_left_singular_vectors)
+from stefa.tensor import matricize, multi_mode_product, top_left_singular_vectors
 
 
 def inspan_instance(dims=(20, 20, 20), rank=2, degree=3, alpha=1.0, seed=0,
@@ -85,6 +85,45 @@ def test_hooi_rejects_bad_input():
                 dict(tol=np.nan), dict(tol=-1.0), dict(tol=np.inf)):
         with pytest.raises(ValueError, match="max_iter|tol"):
             hooi(y, (2, 2, 2), **bad)
+
+
+def test_tucker_ranks_are_checked_by_hooi_and_fit_stefa():
+    y = np.random.default_rng(16).standard_normal((5, 5, 5))
+    for fit in (lambda r: hooi(y, r), lambda r: fit_stefa(y, None, ranks=r)):
+        assert fit((1, 3, 3)).ranks == (1, 3, 3)
+        for ranks, message in [
+                ((1, 2, 3), r"rank 3 for mode 2 exceeds product of the other "
+                            r"ranks \(2\)"),
+                ((0, 3, 3), r"rank 0 for mode 0 not in \[1, 5\]"),
+                ((6, 3, 3), r"rank 6 for mode 0 not in \[1, 5\]"),
+                ((3, 3), "2 ranks given for order-3 tensor")]:
+            with pytest.raises(ValueError, match=message):
+                fit(ranks)
+
+
+def test_non_finite_entries_raise_but_overflowing_squares_do_not():
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal((6, 7, 8))
+    designs = [build_design(rng.uniform(size=(n, 1)), BasisSpec(degree=3))
+               for n in y.shape]
+    fits = (lambda t: fit_stefa(t, designs, ranks=(2, 2, 2)),
+            lambda t: hooi(t, (2, 2, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        z = y.copy()
+        z[1, 2, 3] = bad
+        for fit in fits:
+            with pytest.raises(ValueError, match="tensor has non-finite entries"):
+                fit(z)
+    # every entry is finite, but ||Y||^2 overflows to inf; the fits may fail
+    # later, in the spectral steps, but not at the finiteness check
+    big = 1e200 * np.sign(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert compress(big, designs).sq_norm == np.inf
+        for fit in fits:
+            try:
+                fit(big)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                assert "tensor has non-finite entries" not in str(exc)
 
 
 def reference_hooi(Y, ranks, max_iter=50, tol=1e-8):
@@ -292,21 +331,78 @@ def test_compressed_iteration_matches_full_space_reference(case):
 
 
 def test_fixed_rank_fit_compresses_the_tensor_once(monkeypatch):
+    # every mode product of a fit, direct or inside a chain, that reads a
+    # Y-sized tensor: only the two passes of compress, with or without
+    # automatic ranks
+    import stefa.estimator
     import stefa.tensor
     inst, designs = inspan_instance(dims=(20, 22, 24), seed=23, alpha=0.5)
     y = inst.observed
-    narrowing = []
+    reads = []
     mode_product = stefa.tensor.mode_product
 
     def counting(t, mat, mode):
-        basis = designs[mode].basis
-        if t.shape == y.shape and np.array_equal(mat, basis.T):
-            narrowing.append(mode)
+        if np.shape(t) == y.shape:
+            reads.append(mode)
         return mode_product(t, mat, mode)
 
-    monkeypatch.setattr(stefa.tensor, "mode_product", counting)
-    fit_stefa(y, designs, ranks=(2, 2, 2))
-    assert len(narrowing) == 1
+    for module in (stefa.tensor, stefa.estimator):
+        monkeypatch.setattr(module, "mode_product", counting)
+    for ranks in [(2, 2, 2), None]:
+        reads.clear()
+        fit_stefa(y, designs, ranks=ranks)
+        assert len(reads) == 2
+
+
+def _close(a, b, tol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= tol * max(
+        np.max(np.abs(b), initial=0.0), 1.0)
+
+
+@pytest.mark.parametrize("case", ["all_designs", "one_without_design",
+                                  "identity_mode", "no_designs"])
+def test_stages_take_the_tensor_or_its_sieve_statistics(case):
+    dims = (20, 20, 10) if case == "identity_mode" else (24, 26, 28)
+    inst, designs = inspan_instance(dims=dims, seed=24, alpha=0.5)
+    y = inst.observed
+    identity_modes = ()
+    if case == "one_without_design":
+        designs[1] = None
+    elif case == "identity_mode":
+        designs[2] = None
+        identity_modes = (2,)
+    elif case == "no_designs":
+        designs = [None] * 3
+    stats = compress(y, designs, identity_modes)
+    kwargs = {"identity_modes": identity_modes}
+
+    fits = [fit_stefa(t, designs, ranks=(2, 2, 2), **kwargs) for t in (y, stats)]
+    assert fits[0].ranks == fits[1].ranks
+    assert fits[0].iterations_used == fits[1].iterations_used
+    assert _close(fits[0].core, fits[1].core)
+    for m in range(3):
+        for name in ("g_loadings", "a_loadings", "gamma"):
+            assert _close(getattr(fits[0], name)[m], getattr(fits[1], name)[m])
+
+    (f0, t0, c0), (f1, t1, c1) = [ipsvd_iterate(t, designs, (2, 2, 2), **kwargs)
+                                  for t in (y, stats)]
+    assert c0 == c1 and _close(t0, t1, 0.0)
+    assert all(_close(a, b) for a, b in zip(f0, f1))
+
+    # the core from the statistics equals Y contracted with the factors
+    direct = multi_mode_product(y, [g.T for g in f0]) / y.size
+    assert _close(estimate_core(stats, f0), direct)
+    assert _close(estimate_core(y, f0), direct)
+
+    core = estimate_core(stats, f0)
+    out = [estimate_loadings(t, designs, core, f0, **kwargs) for t in (y, stats)]
+    for part in range(2):
+        assert all(_close(a, b) for a, b in zip(out[0][part], out[1][part]))
+
+    if case == "all_designs":
+        with pytest.raises(ValueError, match="not compressed with the design"):
+            ipsvd_iterate(compress(y), designs, (2, 2, 2))
 
 
 def test_unconverged_fit_is_flagged():
@@ -442,7 +538,8 @@ def test_auto_ranks_are_valid_tucker_ranks():
     designs = [build_design(X, BasisSpec(degree=4)) for X in inst.covariates]
     ranks, profiles = estimate_ranks(inst.observed, designs, return_profile=True)
     assert [int(np.sum(p > 1.0)) for p in profiles] == [2, 1, 1]
-    assert check_tucker_ranks(ranks, inst.observed.shape) == ranks == (1, 1, 1)
+    assert (_check_ranks(inst.observed.shape, [None] * 3, ranks, ())
+            == ranks == (1, 1, 1))
     assert fit_stefa(inst.observed, designs).ranks == ranks
 
 
@@ -471,6 +568,11 @@ def test_save_load_roundtrip(tmp_path):
         save_fit(fit, designs, out)
         back, back_designs = load_fit(out)
         assert back.ranks == fit.ranks
+        timings = fit.diagnostics["timings"]
+        assert set(timings) == {"compress", "ranks", "iterate", "core",
+                                "calibrate", "loadings"}
+        assert min(timings.values()) >= 0.0
+        assert back.diagnostics["timings"] == timings
         assert np.allclose(back.core, fit.core, atol=1e-10)
         for m in range(3):
             assert back.g_loadings[m].shape == fit.g_loadings[m].shape

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stefa.tensor import (check_tucker_ranks, eigenvalues_symmetric, fix_signs,
-                          frobenius_norm, matricize, mode_gram, mode_product,
-                          multi_mode_product, read_tns, tensorize,
-                          top_left_singular_vectors, write_tns)
+from stefa.tensor import (eigenvalues_symmetric, fix_signs, matricize,
+                          mode_gram, mode_product, multi_mode_product, read_tns,
+                          tensorize, top_left_singular_vectors, write_tns)
 
 
 def small_tensor():
@@ -131,11 +130,6 @@ def test_multi_mode_product_dict_and_none():
                        mode_product(t, a, 1))
 
 
-def test_frobenius_norm():
-    t = small_tensor()
-    assert np.isclose(frobenius_norm(t), np.linalg.norm(t.ravel()))
-
-
 def test_fix_signs():
     u = np.array([[1.0, -0.1], [-2.0, 0.05]])
     f = fix_signs(u)
@@ -179,18 +173,6 @@ def test_eigenvalues_symmetric_sorted():
     assert np.all(np.diff(w) <= 1e-12)
     with pytest.raises(ValueError):
         eigenvalues_symmetric(a)
-
-
-def test_check_tucker_ranks():
-    assert check_tucker_ranks((1, 3, 3), (5, 5, 5)) == (1, 3, 3)
-    with pytest.raises(ValueError):
-        check_tucker_ranks((1, 2, 3), (5, 5, 5))   # 3 > 1*2
-    with pytest.raises(ValueError):
-        check_tucker_ranks((0, 3, 3), (5, 5, 5))
-    with pytest.raises(ValueError):
-        check_tucker_ranks((6, 3, 3), (5, 5, 5))
-    with pytest.raises(ValueError):
-        check_tucker_ranks((3, 3), (5, 5, 5))
 
 
 def test_tns_roundtrip(tmp_path):
