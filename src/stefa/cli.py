@@ -209,9 +209,12 @@ def cmd_simulate(args) -> int:
                          f"{', '.join(sorted(PROTOCOLS))}")
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
+    if args.threads != 1:
+        raise UsageError(f"--threads must be 1, got {args.threads}: "
+                         "replications run one after another")
     try:
         run_experiment(args.protocol, reps=args.reps, seed=args.seed,
-                       threads=args.threads, out_dir=args.out, cells=args.cells)
+                       out_dir=args.out, cells=args.cells)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _write_manifest(args.out, "simulate", _options_dict(args), [], args.seed,
@@ -272,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--protocol", required=True)
     p_sim.add_argument("--reps", type=int, default=20)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; only 1 is valid")
     p_sim.add_argument("--cells", action="append", metavar="LABEL",
                        help="restrict to named grid cells; repeatable")
     p_sim.add_argument("--out", required=True)
@@ -293,12 +297,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # LinAlgError is a ValueError, but it is a numeric failure, not bad usage
+    except (EstimationError, np.linalg.LinAlgError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EstimationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

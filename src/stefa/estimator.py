@@ -702,6 +702,10 @@ def _list_of(kind):
     return lambda v: isinstance(v, list) and all(isinstance(x, kind) for x in v)
 
 
+# the layout of the fit directory that save_fit writes; a report.json without
+# the key predates it and has layout 1
+_FORMAT_VERSION = 1
+
 # the required keys of report.json and of each mode's basis entry, with the
 # type their values must have
 _REPORT_KEYS = {
@@ -760,6 +764,7 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
                              "include_intercept": d.spec.include_intercept,
                              "domain": list(d.spec.domain)}
     report = {
+        "format_version": _FORMAT_VERSION,
         "ranks": list(fit.ranks),
         "iterations_used": fit.iterations_used,
         "subspace_change_trace": [float(x) for x in fit.subspace_change_trace],
@@ -777,12 +782,17 @@ def load_fit(fit_dir):
     """Read a fit directory back into ``(StefaFit, designs)``.
 
     Raises ``ValueError`` when ``report.json`` lacks a required key, holds a
-    value of the wrong type, or when the core's extents disagree with the
-    ranks or the loading shapes.
+    value of the wrong type or a ``format_version`` other than 1 (a missing
+    one reads as 1), or when the core's extents disagree with the ranks or
+    the loading shapes.
     """
     with open(os.path.join(fit_dir, "report.json")) as fh:
         report = json.load(fh)
     _require_keys(report, _REPORT_KEYS, "report.json")
+    version = report.get("format_version", _FORMAT_VERSION)
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise ValueError(f"report.json key 'format_version' must be "
+                         f"{_FORMAT_VERSION}, got {version!r}")
     core = read_tns(os.path.join(fit_dir, "core.tns"))
     if tuple(report["ranks"]) != core.shape:
         raise ValueError(f"report.json ranks {report['ranks']} disagree with "

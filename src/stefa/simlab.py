@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -445,7 +444,7 @@ def noise_amplify_refit(s_hat: np.ndarray, e_hat: np.ndarray, alphas,
 # harness
 
 def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
-                   threads: int = 1, out_dir=None, cells=None) -> list:
+                   out_dir=None, cells=None) -> list:
     """Run a named protocol over replications and summarize per cell.
 
     Per-replication seeds derive from ``SeedSequence(seed, spawn_key=(cell,
@@ -473,16 +472,8 @@ def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
     timings = []
     for idx, cell in selected:
         start = time.perf_counter()
-
-        def work(r, idx=idx, cell=cell):
-            ss = np.random.SeedSequence(seed, spawn_key=(idx, r))
-            return _run_rep(cell, ss)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_rep = list(pool.map(work, range(reps)))
-        else:
-            per_rep = [work(r) for r in range(reps)]
+        per_rep = [_run_rep(cell, np.random.SeedSequence(seed, spawn_key=(idx, r)))
+                   for r in range(reps)]
 
         keys = sorted(per_rep[0], key=lambda k: (k[0], k[1]))
         for method, metric in keys:
@@ -505,8 +496,7 @@ def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
                                  row["metric"], f"{row['mean']:.12g}",
                                  f"{row['sd']:.12g}", row["reps"]])
         manifest = {"protocol": protocol, "seed": int(seed), "reps": int(reps),
-                    "threads": int(threads), "version": __version__,
-                    "cells": timings}
+                    "version": __version__, "cells": timings}
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2)
     return rows

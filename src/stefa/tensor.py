@@ -13,9 +13,23 @@ directly and form no unfolding.
 Layout contract of :func:`mode_product`: the result is a C-contiguous array,
 and the input tensor is copied only when it is not C-contiguous.  So in a
 chain of products (:func:`multi_mode_product`) only the first one may copy.
+
+Text tensor files (:func:`read_tns`, :func:`write_tns`) hold lossless
+``repr`` values.  Parsing and formatting them hold the GIL, so a tensor of
+more than 2**18 values is split into contiguous chunks, one per started 2**18
+values and at most one per CPU this process may run on, each handled by a
+worker process started with ``fork``.  Smaller tensors start no process, and
+where ``fork`` or ``os.sched_getaffinity`` is missing everything runs in this
+process.  The parsed array and the written file are identical for any number
+of chunks.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,6 +46,13 @@ __all__ = [
     "read_tns",
     "write_tns",
 ]
+
+# text I/O starts one worker per started chunk of this many values: about
+# 0.2 s of parsing or formatting, well above the 20-30 ms of a fork
+_CHUNK_VALUES = 1 << 18
+# one whitespace-delimited token (``\s`` is what ``str.split`` splits on)
+_TOKEN = re.compile(r"\s*(\S+)")
+_SPACE = re.compile(r"\s")
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:
@@ -176,34 +197,119 @@ def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((mat + mat.T) / 2.0)[::-1]
 
 
+def _workers(count: int) -> int:
+    """Chunks (and worker processes) for ``count`` values: one per started
+    ``_CHUNK_VALUES`` values and at most one per CPU this process may run on;
+    1 where ``fork`` is not a start method, the CPU set cannot be read or
+    this process is a daemon (which may not start processes)."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")
+            or multiprocessing.current_process().daemon):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), -(-count // _CHUNK_VALUES)))
+
+
+def _map_chunks(func, chunks) -> list:
+    """``[func(c) for c in chunks]``, one forked worker process per chunk when
+    there is more than one.  The workers inherit ``func`` and the chunks
+    through the fork, so only the results are pickled."""
+    if len(chunks) == 1:
+        return [func(chunks[0])]
+    with ProcessPoolExecutor(max_workers=len(chunks),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(func, chunks)) as pool:
+        return list(pool.map(_run_inherited, range(len(chunks))))
+
+
+# (func, chunks) of the map a forked worker serves; set only in workers
+_inherited = None
+
+
+def _inherit(func, chunks) -> None:
+    global _inherited
+    _inherited = (func, chunks)
+
+
+def _run_inherited(index: int):
+    func, chunks = _inherited
+    return func(chunks[index])
+
+
+def _parse_values(text: str) -> np.ndarray:
+    return np.array(text.split(), dtype=float)
+
+
+def _format_values(values: np.ndarray) -> str:
+    """Lines of 8 ``repr``s; the last line may be shorter."""
+    items = list(map(repr, values.tolist()))
+    return "".join(" ".join(items[i:i + 8]) + "\n"
+                   for i in range(0, len(items), 8))
+
+
+def _read_header(text: str, path) -> tuple[tuple[int, ...], int]:
+    """The extents in the header of ``text`` and the offset where its values
+    start."""
+    token = _TOKEN.match(text)
+    if token is None:
+        raise ValueError(f"{path}: empty tensor file")
+    order = int(token.group(1))
+    if order < 1:
+        raise ValueError(f"{path}: malformed header")
+    extents = []
+    for _ in range(order):
+        token = _TOKEN.match(text, token.end())
+        if token is None:
+            raise ValueError(f"{path}: malformed header")
+        extents.append(token.group(1))
+    dims = tuple(int(x) for x in extents)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{path}: non-positive extent in {dims}")
+    return dims, token.end()
+
+
 def read_tns(path) -> np.ndarray:
     """Read the whitespace tensor text format.
 
     Line 1: order M.  Line 2: the M extents.  Then prod(dims) values in
-    canonical (C, last-index-fastest) order.
+    canonical (C, last-index-fastest) order.  The value text is cut at
+    whitespace into n = min(CPUs this process may run on, ceil(values /
+    2**18)) chunks and parsed in n forked worker processes (in this process
+    when n == 1, and n is 1 where ``fork`` is not a start method).  The array
+    is bit-identical for any n.
     """
     with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty tensor file")
-    order = int(tokens[0])
-    if order < 1 or len(tokens) < 1 + order:
-        raise ValueError(f"{path}: malformed header")
-    dims = tuple(int(x) for x in tokens[1:1 + order])
-    if any(d < 1 for d in dims):
-        raise ValueError(f"{path}: non-positive extent in {dims}")
+        text = fh.read()
+    dims, start = _read_header(text, path)
     count = int(np.prod(dims, dtype=np.int64))
-    values = tokens[1 + order:]
-    if len(values) != count:
-        raise ValueError(f"{path}: expected {count} values, found {len(values)}")
-    return np.array(values, dtype=float).reshape(dims, order="C")
+    n = _workers(count)
+    cuts = [start]
+    for i in range(1, n):
+        space = _SPACE.search(text, max(start + (len(text) - start) * i // n,
+                                        cuts[-1]))
+        cuts.append(len(text) if space is None else space.start())
+    cuts.append(len(text))
+    chunks = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    del text
+    values = np.concatenate(_map_chunks(_parse_values, chunks))
+    if values.size != count:
+        raise ValueError(f"{path}: expected {count} values, found {values.size}")
+    return values.reshape(dims, order="C")
 
 
 def write_tns(path, t: np.ndarray) -> None:
+    """Write ``t`` in the format of :func:`read_tns`, 8 ``repr`` values a line.
+
+    The values are cut at multiples of 8 into n = min(CPUs this process may
+    run on, ceil(values / 2**18)) chunks and formatted in n forked worker
+    processes (in this process when n == 1, and n is 1 where ``fork`` is not
+    a start method).  The file is byte-identical for any n.
+    """
     t = np.asarray(t, dtype=float)
+    flat = t.ravel(order="C")
+    step = max(8, -(-flat.size // (8 * _workers(flat.size))) * 8)
+    chunks = [flat[i:i + step] for i in range(0, flat.size, step)] or [flat]
     with open(path, "w") as fh:
         fh.write(f"{t.ndim}\n")
         fh.write(" ".join(str(d) for d in t.shape) + "\n")
-        flat = t.ravel(order="C")
-        for start in range(0, flat.size, 8):
-            fh.write(" ".join(repr(float(v)) for v in flat[start:start + 8]) + "\n")
+        for text in _map_chunks(_format_values, chunks):
+            fh.write(text)

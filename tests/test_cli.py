@@ -37,6 +37,7 @@ def test_fit_auto_ranks(workdir, capsys):
     msg = capsys.readouterr().out
     assert "ranks 2,2,2" in msg
     report = json.loads((out / "report.json").read_text())
+    assert report["format_version"] == 1
     assert report["ranks"] == [2, 2, 2]
     assert report["converged"]
     manifest = json.loads((out / "run_manifest.json").read_text())
@@ -162,12 +163,14 @@ def test_predict_on_report_without_required_key_is_usage_error(workdir, capsys):
     assert "'identity_modes'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("basis", []), ("identity_modes", 5),
-                                        ("ranks", 3), ("degree", "x")])
+@pytest.mark.parametrize("key, value", [
+    ("basis", []), ("identity_modes", 5), ("ranks", 3), ("degree", "x"),
+    pytest.param("format_version", 2, id="format_version-2"),
+    pytest.param("format_version", "1", id="format_version-str1")])
 def test_predict_on_report_with_wrong_value_type_is_usage_error(
-        workdir, capsys, key, value):
+        workdir, tmp_path, capsys, key, value):
     root, _ = workdir
-    fit_dir = root / f"fit_bad_{key}"
+    fit_dir = tmp_path / "fit"
     shutil.copytree(root / "fit_auto", fit_dir)
     report = json.loads((fit_dir / "report.json").read_text())
     if key == "degree":
@@ -177,10 +180,38 @@ def test_predict_on_report_with_wrong_value_type_is_usage_error(
     (fit_dir / "report.json").write_text(json.dumps(report))
     code = main(["predict", "--fit", str(fit_dir),
                  "--new-covariates", str(root / "x1.csv"),
-                 "--out", str(root / f"pred_bad_{key}")])
+                 "--out", str(tmp_path / "pred")])
     err = capsys.readouterr().err
     assert code == 2
     assert f"'{key}'" in err and "Traceback" not in err
+
+
+def test_predict_on_report_without_format_version_reads_version_1(workdir,
+                                                                   capsys):
+    root, _ = workdir
+    fit_dir = root / "fit_no_version"
+    shutil.copytree(root / "fit_auto", fit_dir)
+    report = json.loads((fit_dir / "report.json").read_text())
+    del report["format_version"]
+    (fit_dir / "report.json").write_text(json.dumps(report))
+    code = main(["predict", "--fit", str(fit_dir),
+                 "--new-covariates", str(root / "x1.csv"),
+                 "--out", str(root / "pred_no_version")])
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_fit_on_overflowing_tensor_is_numeric_error(tmp_path, capsys):
+    # finite entries whose squares overflow: the eigensolver fails on the
+    # non-finite mode Gram, a numeric failure and not bad usage
+    signs = np.random.default_rng(0).random((10, 10, 10)) < 0.5
+    write_tns(tmp_path / "big.tns", np.where(signs, -1e200, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["fit", "--tensor", str(tmp_path / "big.tns"),
+                     "--ranks", "2,2,2", "--out", str(tmp_path / "fit")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: LinAlgError: ") and "Traceback" not in err
 
 
 def test_predict_without_covariates_is_numeric_error(workdir, capsys):
@@ -199,7 +230,9 @@ def test_simulate_argument_errors(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--protocol", "table1", "--cells", "nope",
                  "--reps", "1", "--out", str(tmp_path)]) == 2
-    capsys.readouterr()
+    assert main(["simulate", "--protocol", "noise_amplify", "--threads", "2",
+                 "--reps", "1", "--out", str(tmp_path)]) == 2
+    assert "--threads must be 1" in capsys.readouterr().err
 
 
 def test_simulate_csv_reproducible(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stefa import tensor as tensor_module
+from stefa.cli import main
 from stefa.tensor import (eigenvalues_symmetric, fix_signs, matricize,
                           mode_gram, mode_product, multi_mode_product, read_tns,
                           tensorize, top_left_singular_vectors, write_tns)
@@ -175,12 +179,142 @@ def test_eigenvalues_symmetric_sorted():
         eigenvalues_symmetric(a)
 
 
-def test_tns_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    t = rng.standard_normal((3, 4, 2))
-    path = tmp_path / "t.tns"
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+       st.data())
+def test_tns_roundtrip(tmp_path_factory, dims, data):
+    t = np.array(data.draw(st.lists(st.floats(), min_size=int(np.prod(dims)),
+                                    max_size=int(np.prod(dims)))),
+                 dtype=float).reshape(dims)
+    path = tmp_path_factory.mktemp("roundtrip") / "t.tns"
     write_tns(path, t)
-    assert np.array_equal(read_tns(path), t)
+    back = read_tns(path)
+    assert back.shape == t.shape
+    assert np.array_equal(back, t, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(t) & ~np.isnan(t))
+
+
+def serial_write_tns(path, t):
+    """The single-process writer that ``write_tns`` must match byte for byte."""
+    t = np.asarray(t, dtype=float)
+    with open(path, "w") as fh:
+        fh.write(f"{t.ndim}\n")
+        fh.write(" ".join(str(d) for d in t.shape) + "\n")
+        flat = t.ravel(order="C")
+        for start in range(0, flat.size, 8):
+            fh.write(" ".join(repr(float(v)) for v in flat[start:start + 8]) + "\n")
+
+
+def serial_parse(path):
+    tokens = path.read_text().split()
+    order = int(tokens[0])
+    return np.array(tokens[1 + order:], dtype=float)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Text I/O sees two CPUs; records the chunk count of every map."""
+    monkeypatch.setattr(tensor_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    counts = []
+    real = tensor_module._map_chunks
+
+    def spy(func, chunks):
+        counts.append(len(chunks))
+        return real(func, chunks)
+
+    monkeypatch.setattr(tensor_module, "_map_chunks", spy)
+    return counts
+
+
+def extreme_tensor(dims=(65, 64, 64)):
+    """More than 2**18 values at every scale, with the special values."""
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal(dims) * 10.0 ** rng.integers(-300, 301, size=dims)
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16]
+    flat = t.reshape(-1)
+    for k, v in enumerate(special):
+        flat[k * 1009] = v                  # first chunk
+        flat[flat.size - 1 - k * 1013] = v  # second chunk
+    return t
+
+
+def test_tns_two_workers_match_serial_writer_and_parser(tmp_path, two_workers):
+    t = extreme_tensor()
+    assert t.size > 2 ** 18
+    write_tns(tmp_path / "new.tns", t)
+    serial_write_tns(tmp_path / "ref.tns", t)
+    assert (tmp_path / "new.tns").read_bytes() == (tmp_path / "ref.tns").read_bytes()
+    back = read_tns(tmp_path / "ref.tns")
+    assert two_workers == [2, 2]
+    ref = serial_parse(tmp_path / "ref.tns")
+    assert back.shape == t.shape
+    assert np.array_equal(back.reshape(-1).view(np.int64), ref.view(np.int64))
+
+
+def test_tns_small_tensor_starts_no_process(tmp_path, two_workers, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(tensor_module, "ProcessPoolExecutor", no_pool)
+    t = extreme_tensor((64, 64, 64))        # exactly 2**18 values
+    write_tns(tmp_path / "t.tns", t)
+    assert np.array_equal(read_tns(tmp_path / "t.tns"), t, equal_nan=True)
+    assert two_workers == [1, 1]
+
+
+def test_tns_in_a_daemonic_pool_worker(tmp_path, two_workers):
+    # a daemonic process may not start processes, so it reads in-process
+    t = extreme_tensor()
+    serial_write_tns(tmp_path / "t.tns", t)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        back = pool.apply(read_tns, (tmp_path / "t.tns",))
+    assert np.array_equal(back, t, equal_nan=True)
+
+
+def test_tns_bad_token_in_second_chunk(tmp_path, two_workers, capsys):
+    path = tmp_path / "bad.tns"
+    serial_write_tns(path, extreme_tensor())
+    text = path.read_text()
+    cut = text.rindex(" ")
+    path.write_text(text[:cut] + " 1.0x" + text[text.index("\n", cut):])
+    with pytest.raises(ValueError, match="1.0x"):
+        read_tns(path)
+    assert main(["fit", "--tensor", str(path), "--ranks", "1,1,1",
+                 "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert "1.0x" in err and "Traceback" not in err
+    assert two_workers == [2, 2]
+
+
+def test_tns_value_count_checks_with_two_chunks(tmp_path, two_workers):
+    path = tmp_path / "t.tns"
+    serial_write_tns(path, extreme_tensor())
+    text = path.read_text()
+    count = 65 * 64 * 64
+    path.write_text(text + "2.5\n")
+    with pytest.raises(ValueError, match=f"expected {count} values, found "
+                                         f"{count + 1}"):
+        read_tns(path)
+    path.write_text(text[:text.rstrip().rindex(" ")] + "\n")
+    with pytest.raises(ValueError, match=f"expected {count} values, found "
+                                         f"{count - 1}"):
+        read_tns(path)
+
+
+def test_tns_one_line_and_crlf_files_parse_alike(tmp_path, two_workers):
+    t = extreme_tensor()
+    serial_write_tns(tmp_path / "ref.tns", t)
+    text = (tmp_path / "ref.tns").read_text()
+    header, _, values = text.partition("\n")
+    dims, _, values = values.partition("\n")
+    one_line = f"{header}\n{dims}\n{' '.join(values.split())}\n"
+    (tmp_path / "one_line.tns").write_text(one_line)
+    (tmp_path / "crlf.tns").write_bytes(text.replace("\n", "\r\n").encode())
+    ref = read_tns(tmp_path / "ref.tns").view(np.int64)
+    for name in ("one_line.tns", "crlf.tns"):
+        assert np.array_equal(read_tns(tmp_path / name).view(np.int64), ref)
 
 
 def test_tns_header_and_count_checks(tmp_path):
