@@ -25,6 +25,7 @@ lies in span(B_j).  Forming the statistics reads Y three times: once for
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -189,10 +190,13 @@ def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
     ranks = tuple(d if m in identity_modes else r
                   for m, (r, d) in enumerate(zip(ranks, dims)))
     modes = [m for m in range(len(dims)) if m not in identity_modes]
+    # every range first: the products below then neither overflow nor name
+    # an out-of-range rank as the fault of another mode
     for m in modes:
         if not 1 <= ranks[m] <= dims[m]:
             raise ValueError(f"rank {ranks[m]} for mode {m} not in [1, {dims[m]}]")
-        other = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
+    for m in modes:
+        other = math.prod(ranks[:m] + ranks[m + 1:])
         if ranks[m] > other:
             raise ValueError(f"rank {ranks[m]} for mode {m} exceeds product of "
                              f"the other ranks ({other})")
@@ -221,14 +225,13 @@ def _stage(timings, name):
 
 def _leave_one_out(T, units, modes):
     """Yield ``(m, T contracted with every unit but units[m])`` for each m in
-    ``modes``, reading ``units`` as it goes: an update of ``units[m]`` made
-    between two yields enters every later contraction (Gauss-Seidel).
+    ``modes``.  Modes outside ``modes`` are not contracted.
 
-    Modes outside ``modes`` are not contracted.  The contractions share
-    partial products: the suffix chain of T contracted with the units of the
-    later modes, times the units of the modes already yielded.  So T itself
-    is read twice, by the first link of the chain and by the last mode's
-    contraction, whatever the order of the tensor.
+    The contractions share partial products: the suffix chain of T
+    contracted with the units of the later modes, times the units of the
+    modes already yielded.  So T itself is read twice, by the first link of
+    the chain and by the last mode's contraction, whatever the order of the
+    tensor.
     """
     suffixes = [T]
     for m in reversed(modes[1:]):
@@ -243,16 +246,38 @@ def _power_iteration(T, units, ranks, modes, max_iter, tol):
     the observed tensor, IP-SVD on the sieve-compressed one.
 
     Each sweep replaces ``units[m]``, in place, for every m in ``modes``, in
-    that order, and reads T twice (see :func:`_leave_one_out`).  Returns
-    ``(changes, energies, converged)``: per sweep, the largest subspace
-    change over ``modes`` and the energy ``||T x_m units[m]^T||^2`` the units
-    capture after it, taken from the sweep's last contraction.  The iteration
-    stops after the first change below ``tol`` or after ``max_iter`` sweeps.
+    that order.  The updates read T through one partial product
+    ``P = T x_c units[c]^T``, c the mode updated last: ``units[c]`` does not
+    change until mode c comes round again, so P serves the next N - 1
+    updates (N modes), each contracting P with the units of the other N - 2
+    modes.  A sweep thus reads T N / (N - 1) times: 1.5 times for three
+    modes and twice for two.  A single mode's update reads T itself.
+
+    Returns ``(changes, energies, core, converged)``: per sweep, the largest
+    subspace change over ``modes``; the energy ``||T x_m units[m]^T||^2`` the
+    units capture before the first sweep and after each one; and the core
+    ``T x_m units[m]^T`` of the final units.  The energies and the core come
+    from the loop's own contractions.  The iteration stops after the first
+    change below ``tol`` or after ``max_iter`` sweeps.
     """
-    changes, energies = [], []
+    def hold(c):
+        if len(modes) == 1:
+            return None, T
+        return c, mode_product(T, units[c].T, c)
+
+    def contract(partial, held, m):
+        return multi_mode_product(partial, {j: units[j].T for j in modes
+                                            if j != held and j != m})
+
+    held, partial = hold(modes[-1])
+    core = contract(partial, held, None)
+    changes, energies = [], [float(np.vdot(core, core))]
     for _ in range(max_iter):
         prev = [units[m] for m in modes]
-        for m, contracted in _leave_one_out(T, units, modes):
+        for k, m in enumerate(modes):
+            if m == held:
+                held, partial = hold(modes[k - 1])
+            contracted = contract(partial, held, m)
             units[m] = top_left_singular_vectors(matricize(contracted, m),
                                                  ranks[m])
         core = mode_product(contracted, units[m].T, m)
@@ -260,8 +285,8 @@ def _power_iteration(T, units, ranks, modes, max_iter, tol):
         changes.append(max(subspace_distance(units[m], p)
                            for m, p in zip(modes, prev)))
         if changes[-1] < tol:
-            return changes, energies, True
-    return changes, energies, False
+            return changes, energies, core, True
+    return changes, energies, core, False
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +354,19 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     The start takes the leading eigenvectors of each mode Gram, summed
     without unfolding Y.  The sweeps run on the observed tensor itself, in
     the power-iteration loop that :func:`ipsvd_iterate` runs on the
-    sieve-compressed tensor, and read it twice each.  ``objective_trace``
+    sieve-compressed tensor, and read it N / (N - 1) times each for an
+    order-N tensor (see :func:`_power_iteration`).  ``objective_trace``
     records the captured energy ``prod(I) * ||Y x_m U_m^T||^2`` before the
     first sweep and after each one, and ``subspace_change_trace`` each
     sweep's largest subspace change over the modes (a fit whose last change
     is not below ``tol`` has not converged).  Loadings are scaled so
     ``A^T A / I_m`` is the identity, and the final core is rotated so each
     mode-wise core Gram is diagonal with decreasing entries (the same
-    calibration used by the projected estimator).  ``max_iter`` must be an
-    integer >= 1 and ``tol`` finite and >= 0, and Y's entries finite (checked
-    by :func:`compress`).
+    calibration used by the projected estimator).  The start objective and
+    the core come from the loop's contractions, so ``hooi(Y, r, max_iter=k,
+    tol=0)`` reads Y in ``ceil(N k / (N - 1))`` mode products.
+    ``max_iter`` must be an integer >= 1 and ``tol`` finite and >= 0, and
+    Y's entries finite (checked by :func:`compress`).
     """
     _check_iteration_controls(max_iter, tol)
     stats = compress(Y)               # no designs: its tensor is Y itself
@@ -346,15 +374,15 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     ranks = _check_ranks(Y.shape, [None] * Y.ndim, ranks, ())
     modes = list(range(Y.ndim))
     units = [top_eigenvectors(mode_gram(Y, m), ranks[m]) for m in modes]
-    start = multi_mode_product(Y, {m: u.T for m, u in enumerate(units)})
-    changes, energies, converged = _power_iteration(
+    changes, energies, core, converged = _power_iteration(
         Y, units, ranks, modes, max_iter, tol)
-    trace = [Y.size * e for e in [float(np.vdot(start, start))] + energies]
+    trace = [Y.size * e for e in energies]
 
+    # the least-squares core of the loadings sqrt(I_m) U_m is Y x_m U_m^T
+    # times prod(sqrt(I_m)) / prod(I_m)
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
     loadings = [u * s for u, s in zip(units, scales)]
-    core = estimate_core(stats, loadings)
-    core, loadings, _ = calibrate(core, loadings)
+    core, loadings, _ = calibrate(core / np.sqrt(float(Y.size)), loadings)
     return HooiFit(core=core, loadings=loadings, ranks=ranks,
                    iterations_used=len(changes), objective_trace=trace,
                    converged=converged, subspace_change_trace=changes)
@@ -394,8 +422,8 @@ def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8,
     compressed = stats.compressed
     units = [top_eigenvectors(mode_gram(compressed, m), ranks[m])
              if m in modes else None for m in range(compressed.ndim)]
-    trace, _, converged = _power_iteration(compressed, units, ranks, modes,
-                                           max_iter, tol)
+    trace, _, _, converged = _power_iteration(compressed, units, ranks,
+                                              modes, max_iter, tol)
 
     factors = []
     for m, (u, b) in enumerate(zip(units, stats.bases)):

@@ -118,10 +118,11 @@ def eval_basis(X: np.ndarray, spec: BasisSpec) -> np.ndarray:
 def build_design(X: np.ndarray, spec: BasisSpec) -> SieveDesign:
     """Build the sieve design and projector basis for one mode's covariates."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    phi = eval_basis(X, spec)
-    n, j = phi.shape
+    # checked before the basis is evaluated, whose cost grows with the degree
+    n, j = X.shape[0], spec.n_basis(X.shape[1])
     if j > n:
         raise ValueError(f"sieve dimension exceeds mode extent ({j} > {n})")
+    phi = eval_basis(X, spec)
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
     return SieveDesign(spec=spec, covariates=X, phi=phi,

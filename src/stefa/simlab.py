@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -360,7 +361,50 @@ PROTOCOLS = {
 }
 
 
+# values in one row block of a scored reconstruction: about 1 MB
+_BLOCK_VALUES = 1 << 17
+
+
+def _row_blocks(core, loadings):
+    """Yield ``(rows, core x_0 loadings[0][rows] x_1 loadings[1] x_2 ...)``
+    over consecutive mode-0 row blocks of about ``_BLOCK_VALUES`` values (at
+    least one row each), so the Tucker reconstruction is never formed whole."""
+    dims = [a.shape[0] for a in loadings]
+    step = max(1, _BLOCK_VALUES // math.prod(dims[1:]))
+    for start in range(0, dims[0], step):
+        rows = slice(start, min(start + step, dims[0]))
+        yield rows, multi_mode_product(core, [loadings[0][rows], *loadings[1:]])
+
+
+def _squared_errors(truth, estimates):
+    """``(errors, norm)``: ``||S_hat - S||^2`` for each Tucker reconstruction
+    in ``estimates`` and ``||S||^2``, where ``truth`` and each estimate are
+    ``(core, loadings)`` pairs.  One pass over mode-0 row blocks (see
+    :func:`_row_blocks`) holds at most three blocks at a time."""
+    streams = [_row_blocks(*e) for e in estimates]
+    errors = np.zeros(len(estimates))
+    norm = 0.0
+    for _, s in _row_blocks(*truth):
+        norm += float(np.vdot(s, s))
+        for i, stream in enumerate(streams):
+            _, b = next(stream)
+            b -= s
+            errors[i] += float(np.vdot(b, b))
+    return errors, norm
+
+
 def _fit_metrics(inst: SimInstance, fit_degree: int, methods) -> dict:
+    """Losses of one replication, keyed ``(method, metric)``.
+
+    IP-SVD (and HOOI when ``methods`` holds it) is fitted to the observation
+    and scored by its loading subspaces, its first loading functions, whether
+    it converged (1.0 or 0.0, so a cell's mean is the share of converged
+    replications) and the relative reconstruction errors ``remse`` (against
+    the signal) and ``remse_obs`` (normed by the observation).  The
+    reconstruction errors are summed over row blocks from the Tucker factors
+    of the fits and of the truth, in one pass after both fits, so besides
+    the observation and the signal no tensor of their size is formed.
+    """
     spec = BasisSpec(degree=fit_degree)
     designs = [build_design(X, spec) for X in inst.covariates]
     ranks = (inst.config.rank,) * len(inst.config.dims)
@@ -375,9 +419,7 @@ def _fit_metrics(inst: SimInstance, fit_degree: int, methods) -> dict:
             fit.g_loadings[m], inst.a_loadings[m])
         out[("ipsvd", f"l2_a{m + 1}_reg")] = loss_subspace(
             fit.a_loadings[m], inst.a_loadings[m])
-    out[("ipsvd", "remse")] = loss_remse(fit.reconstruct_g(), inst.signal)
-    out[("ipsvd", "remse_obs")] = loss_remse(fit.reconstruct_g(), inst.signal,
-                                             reference=inst.observed)
+    out[("ipsvd", "converged")] = float(fit.converged)
 
     scale = np.sqrt(inst.config.dims[0])
     coeffs = fit.sieve_coeffs[0]
@@ -392,12 +434,21 @@ def _fit_metrics(inst: SimInstance, fit_degree: int, methods) -> dict:
             out[("ipsvd", f"fn_loss_best_linear_g1_{r + 1}")] = \
                 loss_function_best_linear(hats, true_r, n_covariates=D)
 
+    estimates = {"ipsvd": (fit.core, fit.g_loadings)}
     if "hooi" in methods:
         h = hooi(inst.observed, ranks)
         for m in range(len(ranks)):
             out[("hooi", f"l2_a{m + 1}")] = loss_subspace(
                 h.loadings[m], inst.a_loadings[m])
-        out[("hooi", "remse")] = loss_remse(h.reconstruct(), inst.signal)
+        out[("hooi", "converged")] = float(h.converged)
+        estimates["hooi"] = (h.core, h.loadings)
+
+    errors, norm = _squared_errors((inst.core, inst.a_loadings),
+                                   list(estimates.values()))
+    for method, error in zip(estimates, errors):
+        out[(method, "remse")] = float(np.sqrt(error / norm))
+    observed = float(np.vdot(inst.observed, inst.observed))
+    out[("ipsvd", "remse_obs")] = float(np.sqrt(errors[0] / observed))
     return out
 
 
@@ -451,7 +502,8 @@ def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
     rep))`` with the cell index taken in the full protocol grid, so running a
     subset of cells reproduces exactly the same draws.  Returns result rows
     ``{cell, method, metric, mean, sd, reps}``; with ``out_dir`` also writes
-    results.csv and manifest.json.
+    results.csv and manifest.json, whose per-cell timings hold the cell's
+    total seconds and the seconds of each replication.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from "
@@ -472,8 +524,12 @@ def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
     timings = []
     for idx, cell in selected:
         start = time.perf_counter()
-        per_rep = [_run_rep(cell, np.random.SeedSequence(seed, spawn_key=(idx, r)))
-                   for r in range(reps)]
+        per_rep, rep_seconds = [], []
+        for r in range(reps):
+            rep_start = time.perf_counter()
+            per_rep.append(_run_rep(
+                cell, np.random.SeedSequence(seed, spawn_key=(idx, r))))
+            rep_seconds.append(time.perf_counter() - rep_start)
 
         keys = sorted(per_rep[0], key=lambda k: (k[0], k[1]))
         for method, metric in keys:
@@ -483,7 +539,8 @@ def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
                          "metric": metric, "mean": float(np.mean(vals)),
                          "sd": sd, "reps": reps})
         timings.append({"cell": cell["label"],
-                        "seconds": time.perf_counter() - start})
+                        "seconds": time.perf_counter() - start,
+                        "rep_seconds": rep_seconds})
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stefa.cli import main
 from stefa.sieve import write_covariates_csv
@@ -252,3 +257,119 @@ def test_version_and_usage_exit_codes(capsys):
     assert main(["--version"]) == 0
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# property tests: whatever the options or the fit directory hold, the CLI
+# exits 0, 2 or 3 and prints no traceback
+
+def _run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_TEXT = st.text(max_size=12)
+_INTS = st.one_of(st.integers(-3, 30), st.integers(-10 ** 30, 10 ** 30))
+
+
+@st.composite
+def _fit_options(draw, root):
+    """Options for ``stefa fit`` on the 25 x 25 x 25 fixture, mostly valid so
+    that the later checks are reached too."""
+    cov = [str(root / f"x{m}.csv") for m in (1, 2, 3)]
+    args = []
+    if draw(st.booleans()):
+        rank = st.one_of(st.integers(1, 6), _INTS)
+        ranks = draw(st.one_of(
+            st.just("auto"), _TEXT,
+            st.lists(rank, min_size=3, max_size=3).map(
+                lambda rs: ",".join(map(str, rs))),
+            st.lists(rank, min_size=1, max_size=4).map(
+                lambda rs: ",".join(map(str, rs)))))
+        args += ["--ranks", ranks]
+    if draw(st.booleans()):
+        # sweeps are bounded so that a never-converging fit still ends soon
+        args += ["--max-iter", draw(st.one_of(st.integers(-3, 60).map(str),
+                                               _TEXT))]
+    if draw(st.booleans()):
+        args += ["--tol", draw(st.one_of(st.floats().map(repr), _TEXT))]
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["legendre", "bspline"] * 2
+                                      + ["", "fourier"]))
+        degree = draw(st.one_of(st.integers(1, 12).map(str), _INTS.map(str),
+                                _TEXT))
+        args += ["--basis", draw(st.sampled_from(
+            [f"{family}:{degree}"] * 3 + [family, f"{family}:{degree}:1"]))]
+    files = cov * 2 + [str(root / "y.tns"), str(root / "missing.csv"),
+                       str(root)]
+    for _ in range(draw(st.integers(0, 4))):
+        mode = draw(st.one_of(st.integers(1, 3), st.integers(-1, 5), _TEXT))
+        args += ["--covariates", f"{mode}:{draw(st.sampled_from(files))}"]
+    return args
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fit_options_never_raise(workdir, data):
+    root, _ = workdir
+    options = data.draw(_fit_options(root))
+    with tempfile.TemporaryDirectory() as out:
+        code, err = _run_cli(["fit", "--tensor", str(root / "y.tns"),
+                              *options, "--out", str(Path(out) / "fit")])
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, st.floats(), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=8)
+_REPORT_PATHS = ["format_version", "ranks", "iterations_used",
+                 "subspace_change_trace", "converged", "identity_modes",
+                 "flags", "diagnostics", "basis", "basis.0", "basis.0.family",
+                 "basis.0.degree", "basis.0.include_intercept",
+                 "basis.0.domain"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_fit_dir(workdir):
+    root, _ = workdir
+    out = root / "fit_fuzz"
+    assert main(["fit", "--tensor", str(root / "y.tns"), *cov_args(root),
+                 "--basis", "legendre:3", "--out", str(out)]) == 0
+    return out
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(_REPORT_PATHS + [""]), _JSON),
+                min_size=1, max_size=3))
+def test_predict_on_drawn_report_values_never_raises(workdir, fuzz_fit_dir,
+                                                     edits):
+    root, _ = workdir
+    with tempfile.TemporaryDirectory() as tmp:
+        fit_dir = Path(tmp) / "fit"
+        shutil.copytree(fuzz_fit_dir, fit_dir)
+        report = json.loads((fit_dir / "report.json").read_text())
+        for path, value in edits:
+            if not path:                      # the whole document
+                report = value
+                continue
+            *parents, key = path.split(".")
+            target = report
+            for name in parents:
+                target = target.get(name) if isinstance(target, dict) else None
+            if isinstance(target, dict):
+                target[key] = value
+        (fit_dir / "report.json").write_text(json.dumps(report))
+        code, err = _run_cli(["predict", "--fit", str(fit_dir),
+                              "--new-covariates", str(root / "x1.csv"),
+                              "--out", str(Path(tmp) / "pred")])
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err

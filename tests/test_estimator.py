@@ -96,6 +96,9 @@ def test_tucker_ranks_are_checked_by_hooi_and_fit_stefa():
                             r"ranks \(2\)"),
                 ((0, 3, 3), r"rank 0 for mode 0 not in \[1, 5\]"),
                 ((6, 3, 3), r"rank 6 for mode 0 not in \[1, 5\]"),
+                # every range is checked before any product of ranks
+                ((2, 10 ** 30, 2), rf"rank {10 ** 30} for mode 1 not in \[1, 5\]"),
+                ((2, 2 ** 62, 2 ** 62), r"rank \d+ for mode 1 not in"),
                 ((3, 3), "2 ranks given for order-3 tensor")]:
             with pytest.raises(ValueError, match=message):
                 fit(ranks)
@@ -183,6 +186,57 @@ def test_hooi_matches_four_pass_reference(case):
     assert np.allclose(fit.objective_trace, trace, rtol=1e-12, atol=0.0)
     for m in range(y.ndim):
         assert subspace_distance(fit.loadings[m], units[m]) <= 1e-10
+
+
+def _count_tensor_reads(monkeypatch, y):
+    """Patch the mode products seen by the estimator and the tensor module;
+    return the list that records the mode of each product whose input has
+    the shape of ``y``."""
+    import stefa.estimator
+    import stefa.tensor
+    reads = []
+    mode_product = stefa.tensor.mode_product
+
+    def counting(t, mat, mode):
+        if np.shape(t) == y.shape:
+            reads.append(mode)
+        return mode_product(t, mat, mode)
+
+    for module in (stefa.tensor, stefa.estimator):
+        monkeypatch.setattr(module, "mode_product", counting)
+    return reads
+
+
+@pytest.mark.parametrize("dims, per_sweep", [((12, 13, 14), (3, 2)),
+                                             ((6, 7, 8, 9), (4, 3)),
+                                             ((15, 16), (2, 1))])
+def test_hooi_reads_the_tensor_n_over_n_minus_1_times_per_sweep(
+        monkeypatch, dims, per_sweep):
+    # the start objective and the final core come from the loop, and one
+    # partial product serves N - 1 updates: ceil(N k / (N - 1)) reads in k
+    # sweeps (the four-pass-per-sweep reference takes 2 k + 2)
+    y = np.random.default_rng(32).standard_normal(dims)
+    reads = _count_tensor_reads(monkeypatch, y)
+    n, shared = per_sweep
+    for k in (1, 2, 3, 5):
+        reads.clear()
+        fit = hooi(y, (2,) * len(dims), max_iter=k, tol=0.0)
+        assert fit.iterations_used == k and len(fit.objective_trace) == k + 1
+        assert len(reads) == -(-n * k // shared)
+
+
+def test_single_active_mode_iterates_on_the_tensor_itself(monkeypatch):
+    # two identity modes: the update of the one active mode reads T itself
+    # (no mode product); each sweep's energy and the start's contract T once
+    y = np.random.default_rng(33).standard_normal((10, 11, 12))
+    reads = _count_tensor_reads(monkeypatch, y)
+    for k in (1, 3):
+        reads.clear()
+        factors, trace, _ = ipsvd_iterate(y, None, (2, 1, 1), max_iter=k,
+                                          tol=0.0, identity_modes=(1, 2))
+        assert len(trace) == k and reads == [0] * (k + 1)
+        u = top_left_singular_vectors(matricize(y, 0), 2)
+        assert subspace_distance(factors[0], u) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +388,9 @@ def test_fixed_rank_fit_compresses_the_tensor_once(monkeypatch):
     # every mode product of a fit, direct or inside a chain, that reads a
     # Y-sized tensor: only the two passes of compress, with or without
     # automatic ranks
-    import stefa.estimator
-    import stefa.tensor
     inst, designs = inspan_instance(dims=(20, 22, 24), seed=23, alpha=0.5)
     y = inst.observed
-    reads = []
-    mode_product = stefa.tensor.mode_product
-
-    def counting(t, mat, mode):
-        if np.shape(t) == y.shape:
-            reads.append(mode)
-        return mode_product(t, mat, mode)
-
-    for module in (stefa.tensor, stefa.estimator):
-        monkeypatch.setattr(module, "mode_product", counting)
+    reads = _count_tensor_reads(monkeypatch, y)
     for ranks in [(2, 2, 2), None]:
         reads.clear()
         fit_stefa(y, designs, ranks=ranks)

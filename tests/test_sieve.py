@@ -118,6 +118,9 @@ def test_build_design_dimension_error():
     X = np.random.default_rng(5).uniform(size=(5, 2))
     with pytest.raises(ValueError, match="exceeds mode extent"):
         build_design(X, BasisSpec(degree=4))   # 9 basis functions > 5 rows
+    # checked before the basis is evaluated, which a huge degree would stall
+    with pytest.raises(ValueError, match=r"\(2000000001 > 5\)"):
+        build_design(X, BasisSpec(degree=10 ** 9))
 
 
 def test_projector_apply_row_mismatch():
