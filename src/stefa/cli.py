@@ -172,6 +172,8 @@ def cmd_predict(args) -> int:
     if not os.path.isdir(args.fit):
         raise UsageError(f"fit directory not found: {args.fit}")
     fit, designs = load_fit(args.fit)
+    if not 1 <= args.mode <= fit.order:
+        raise UsageError(f"--mode {args.mode} not in [1, {fit.order}]")
     try:
         X_new, _ = read_covariates_csv(args.new_covariates)
     except (OSError, ValueError) as exc:

@@ -18,12 +18,14 @@ argument of Fan, Liao & Wang, 2016): ``||Y||^2``, Z, and per covariate mode
 the leave-one-out compression ``L_m = Y x_{j != m} B_j^T``.  The ranks and
 the iteration use Z and ``||Y||^2``, the core Z, and the loadings the L_m,
 because ``Y x_{j != m} U_j^T = L_m x_{j != m} (B_j^T U_j)^T`` when each U_j
-lies in span(B_j).  Forming the statistics reads Y three times: once for
-``||Y||^2`` and twice for the L_m, whatever the order of the tensor.
+lies in span(B_j).  The L_m come from the contraction schedule of the
+sweeps, so forming the statistics reads Y three times, whatever the order
+of the tensor: once for ``||Y||^2`` and twice for the L_m.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -223,61 +225,55 @@ def _stage(timings, name):
     timings[name] = time.perf_counter() - start
 
 
-def _leave_one_out(T, units, modes):
-    """Yield ``(m, T contracted with every unit but units[m])`` for each m in
-    ``modes``.  Modes outside ``modes`` are not contracted.
+def _contractions(T, units, modes):
+    """Cycle through ``modes``, yielding ``(m, T contracted with units[j]^T
+    for every j in modes but m)``; other modes are not contracted.  A caller
+    may replace ``units[m]`` once m is yielded, as a Gauss-Seidel sweep does.
 
-    The contractions share partial products: the suffix chain of T
-    contracted with the units of the later modes, times the units of the
-    modes already yielded.  So T itself is read twice, by the first link of
-    the chain and by the last mode's contraction, whatever the order of the
-    tensor.
+    T is read through one held partial ``P = T x_c units[c]^T``, c the mode
+    before the first one yielded, which serves N - 1 contractions (N modes)
+    and is released when c comes round: the first N contractions read T
+    twice, every N - 1 more once.  A single mode's contraction is T itself.
     """
-    suffixes = [T]
-    for m in reversed(modes[1:]):
-        suffixes.append(mode_product(suffixes[-1], units[m].T, m))
-    for k, m in enumerate(modes):
-        done = {j: units[j].T for j in modes[:k]}
-        yield m, multi_mode_product(suffixes[len(modes) - 1 - k], done)
+    if len(modes) == 1:
+        yield from itertools.repeat((modes[0], T))
+    held = None
+    for k, m in itertools.cycle(enumerate(modes)):
+        if held in (None, m):
+            # release P before forming the next: both are as large as T / I_c
+            partial = None
+            held = modes[k - 1]
+            partial = mode_product(T, units[held].T, held)
+        yield m, multi_mode_product(partial, {j: units[j].T for j in modes
+                                              if j != held and j != m})
 
 
-def _power_iteration(T, units, ranks, modes, max_iter, tol):
+def _power_iteration(T, ranks, modes, max_iter, tol):
     """Gauss-Seidel power iteration (HOOI sweeps) on ``T``; HOOI runs it on
     the observed tensor, IP-SVD on the sieve-compressed one.
 
-    Each sweep replaces ``units[m]``, in place, for every m in ``modes``, in
-    that order.  The updates read T through one partial product
-    ``P = T x_c units[c]^T``, c the mode updated last: ``units[c]`` does not
-    change until mode c comes round again, so P serves the next N - 1
-    updates (N modes), each contracting P with the units of the other N - 2
-    modes.  A sweep thus reads T N / (N - 1) times: 1.5 times for three
-    modes and twice for two.  A single mode's update reads T itself.
+    Each mode in ``modes`` starts from the top eigenvectors of T's mode Gram,
+    and each sweep updates them in that order from :func:`_contractions`.
 
-    Returns ``(changes, energies, core, converged)``: per sweep, the largest
-    subspace change over ``modes``; the energy ``||T x_m units[m]^T||^2`` the
-    units capture before the first sweep and after each one; and the core
+    Returns ``(units, changes, energies, core, converged)``: per mode the
+    final unit (None outside ``modes``); per sweep, the largest subspace
+    change over ``modes``; the energy ``||T x_m units[m]^T||^2`` the units
+    capture before the first sweep and after each one; and the core
     ``T x_m units[m]^T`` of the final units.  The energies and the core come
     from the loop's own contractions.  The iteration stops after the first
     change below ``tol`` or after ``max_iter`` sweeps.
     """
-    def hold(c):
-        if len(modes) == 1:
-            return None, T
-        return c, mode_product(T, units[c].T, c)
-
-    def contract(partial, held, m):
-        return multi_mode_product(partial, {j: units[j].T for j in modes
-                                            if j != held and j != m})
-
-    held, partial = hold(modes[-1])
-    core = contract(partial, held, None)
+    units = [top_eigenvectors(mode_gram(T, m), ranks[m]) if m in modes
+             else None for m in range(T.ndim)]
+    contractions = _contractions(T, units, modes)
+    m, contracted = next(contractions)
+    core = mode_product(contracted, units[m].T, m)
     changes, energies = [], [float(np.vdot(core, core))]
+    # the first update takes the contraction the start energy came from
+    contractions = itertools.chain([(m, contracted)], contractions)
     for _ in range(max_iter):
         prev = [units[m] for m in modes]
-        for k, m in enumerate(modes):
-            if m == held:
-                held, partial = hold(modes[k - 1])
-            contracted = contract(partial, held, m)
+        for m, contracted in itertools.islice(contractions, len(modes)):
             units[m] = top_left_singular_vectors(matricize(contracted, m),
                                                  ranks[m])
         core = mode_product(contracted, units[m].T, m)
@@ -285,8 +281,8 @@ def _power_iteration(T, units, ranks, modes, max_iter, tol):
         changes.append(max(subspace_distance(units[m], p)
                            for m, p in zip(modes, prev)))
         if changes[-1] < tol:
-            return changes, energies, core, True
-    return changes, energies, core, False
+            return units, changes, energies, core, True
+    return units, changes, energies, core, False
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +300,25 @@ def compress(Y: np.ndarray, designs=None, identity_modes=()) -> SieveStats:
     basis the leave-one-out entry is Z itself, and with no designs Z and
     every entry are Y itself, not copies.
 
-    Y is read three times: once by ``||Y||^2`` and twice by the compressions,
-    which share partial products (see :func:`_leave_one_out`).  A finite
-    ``||Y||^2`` shows that every entry is finite; only when it is not finite
-    are the entries checked one by one, so a non-finite entry raises
-    ``ValueError`` while finite entries whose squares overflow do not.
+    Y is read three times: once by ``||Y||^2`` and twice by the compressions
+    (:func:`_contractions`), along the first and the last covariate mode,
+    whose products run faster than a middle mode's.  A finite ``||Y||^2``
+    shows every entry finite; else a non-finite entry raises ``ValueError``
+    and finite entries whose squares overflow :class:`EstimationError`.
     """
     Y = np.ascontiguousarray(Y, dtype=float)
     designs = _normalize_designs(designs, Y.ndim)
     _check_design_shapes(Y, designs)
     sq_norm = float(np.vdot(Y, Y))
-    if not np.isfinite(sq_norm) and not np.all(np.isfinite(Y)):
-        raise ValueError("tensor has non-finite entries")
+    if not np.isfinite(sq_norm):
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("tensor has non-finite entries")
+        raise EstimationError("squared norm of the tensor overflows; rescale it")
     bases = tuple(None if d is None or m in identity_modes else d.basis
                   for m, d in enumerate(designs))
     covariate = [m for m, b in enumerate(bases) if b is not None]
-    partial = dict(_leave_one_out(Y, bases, covariate))
+    partial = dict(itertools.islice(
+        _contractions(Y, bases, covariate[1:] + covariate[:1]), len(covariate)))
     compressed = Y
     if covariate:
         last = covariate[-1]
@@ -372,10 +371,8 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     stats = compress(Y)               # no designs: its tensor is Y itself
     Y = stats.compressed
     ranks = _check_ranks(Y.shape, [None] * Y.ndim, ranks, ())
-    modes = list(range(Y.ndim))
-    units = [top_eigenvectors(mode_gram(Y, m), ranks[m]) for m in modes]
-    changes, energies, core, converged = _power_iteration(
-        Y, units, ranks, modes, max_iter, tol)
+    units, changes, energies, core, converged = _power_iteration(
+        Y, ranks, list(range(Y.ndim)), max_iter, tol)
     trace = [Y.size * e for e in energies]
 
     # the least-squares core of the loadings sqrt(I_m) U_m is Y x_m U_m^T
@@ -419,11 +416,8 @@ def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8,
     scales = np.sqrt(np.asarray(stats.shape, dtype=float))
     modes = [m for m in range(len(stats.shape)) if m not in identity_modes]
 
-    compressed = stats.compressed
-    units = [top_eigenvectors(mode_gram(compressed, m), ranks[m])
-             if m in modes else None for m in range(compressed.ndim)]
-    trace, _, _, converged = _power_iteration(compressed, units, ranks,
-                                              modes, max_iter, tol)
+    units, trace, _, _, converged = _power_iteration(
+        stats.compressed, ranks, modes, max_iter, tol)
 
     factors = []
     for m, (u, b) in enumerate(zip(units, stats.bases)):
@@ -453,18 +447,17 @@ def estimate_core(Y, factors) -> np.ndarray:
     return multi_mode_product(stats.compressed, coords) / float(stats.size)
 
 
-def calibrate(core: np.ndarray, factors, fixed_modes=()):
+def calibrate(core: np.ndarray, factors, identity_modes=()):
     """Rotate core and factors so each mode-wise core Gram is diagonal with
     decreasing entries.  Returns ``(core, factors, flags)``."""
     core = np.asarray(core, dtype=float)
     rotations = []
     flags = []
     for m in range(core.ndim):
-        if m in fixed_modes:
+        if m in identity_modes:
             rotations.append(np.eye(core.shape[m]))
             continue
-        gram = matricize(core, m)
-        gram = gram @ gram.T
+        gram = mode_gram(core, m)
         w, v = np.linalg.eigh(gram)
         w, v = w[::-1], v[:, ::-1]
         if w.size > 1 and w[0] > 0 and np.min(w[:-1] - w[1:]) < 1e-10 * w[0]:
@@ -506,8 +499,7 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings,
             gammas.append(np.zeros((shape[m], shape[m])))
             coeffs.append(None)
             continue
-        gram = matricize(core, m)
-        gram = gram @ gram.T
+        gram = mode_gram(core, m)
         w = eigenvalues_symmetric(gram)
         if w[-1] < 1e-12 * np.trace(gram):
             raise DegenerateCoreError(
@@ -560,7 +552,7 @@ def fit_stefa(Y, designs=None, ranks=None, identity_modes=(),
         stats, designs = _statistics(Y, designs, identity_modes)
     with _stage(timings, "ranks"):
         if ranks is None:
-            ranks = estimate_ranks(stats, designs, skip_modes=identity_modes)
+            ranks = estimate_ranks(stats, designs, identity_modes=identity_modes)
     with _stage(timings, "iterate"):
         factors, trace, converged = ipsvd_iterate(
             stats, designs, ranks, max_iter=max_iter, tol=tol,
@@ -569,8 +561,7 @@ def fit_stefa(Y, designs=None, ranks=None, identity_modes=(),
     with _stage(timings, "core"):
         core = estimate_core(stats, factors)
     with _stage(timings, "calibrate"):
-        core, factors, flags = calibrate(core, factors,
-                                         fixed_modes=identity_modes)
+        core, factors, flags = calibrate(core, factors, identity_modes)
     with _stage(timings, "loadings"):
         a_loadings, gammas, coeffs = estimate_loadings(
             stats, designs, core, factors, identity_modes=identity_modes)
@@ -601,8 +592,7 @@ def _fit_diagnostics(shape, designs, core, factors, gammas, identity_modes):
     for m in range(len(shape)):
         g = factors[m]
         ortho = float(np.linalg.norm(g.T @ g / shape[m] - np.eye(g.shape[1])))
-        gram = matricize(core, m)
-        gram = gram @ gram.T
+        gram = mode_gram(core, m)
         off = gram - np.diag(np.diag(gram))
         entry = {
             "g_orthonormality_residual": ortho,
@@ -627,13 +617,13 @@ def _round_half_away(x: float) -> int:
 
 
 def estimate_ranks(Y, designs=None, k_max: int | None = None,
-                   skip_modes=(), return_profile: bool = False):
+                   identity_modes=(), return_profile: bool = False):
     """Noise-edge rank estimate per mode on the sieve-projected tensor.
 
     ``Y`` is the observed tensor or its :class:`SieveStats` (compressed with
-    ``designs`` and with ``skip_modes`` as the identity modes); the estimate
-    reads only Z and ``||Y||^2``.  Z is Y contracted with every covariate
-    mode's orthonormal sieve basis.
+    ``designs`` and ``identity_modes``); the estimate reads only Z and
+    ``||Y||^2``.  Z is Y contracted with every covariate mode's orthonormal
+    sieve basis.  The rank of a mode in ``identity_modes`` is its extent.
     The noise variance is estimated from the energy outside the sieve spans,
     ``sigma2 = (||Y||^2 - ||Z||^2) / (N - |Z|)``, which signal inside the
     spans does not reach.  The rank of mode m is the number of eigenvalues of
@@ -642,20 +632,23 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     n x p matrix reaches (in the spirit of Onatski, 2010).  The profile holds
     ``lambda_k / edge``, so the chosen rank is the number of its entries
     above 1, clamped to at least 1.  A mode whose count exceeds the product
-    of the other modes' ranks (a skipped mode counting its extent) gets that
-    product, so the result is a valid Tucker rank.
+    of the other modes' ranks (an identity mode counting its extent) gets
+    that product, so the result is a valid Tucker rank.
 
     The count runs over k up to ``min(I_m, prod I_other) / 2`` (nearest
-    integer), further capped one below the structural rank of the projected
-    matricization.  A floor of ``1e-12 * lambda_1`` on the edge makes the
-    noiseless case select the true rank.
+    integer) and ``k_max`` (None or an integer >= 1), further capped one below
+    the structural rank of the projected matricization.  A floor of
+    ``1e-12 * lambda_1`` on the edge makes the noiseless case select the
+    true rank.
 
     When no mode has a design (or every design spans its whole mode) there is
     no complement to measure the noise on; the rank is then the eigenvalue
     ratio argmax ``lambda_k / lambda_{k+1}`` over the same range, with the
     floor guarding the denominators, and the profile holds those ratios.
     """
-    stats, designs = _statistics(Y, designs, skip_modes)
+    if k_max is not None and not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+        raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
+    stats, designs = _statistics(Y, designs, identity_modes)
     shape = stats.shape
     compressed = stats.compressed
     if not np.any(compressed):
@@ -669,7 +662,7 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     ranks = []
     profiles = []
     for m in range(len(shape)):
-        if m in skip_modes:
+        if m in identity_modes:
             ranks.append(shape[m])
             profiles.append(np.array([]))
             continue
@@ -701,7 +694,7 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     # mode can exceed the product of the others, and capping it there keeps
     # the rest valid
     for m in range(len(shape)):
-        if m not in skip_modes:
+        if m not in identity_modes:
             others = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
             ranks[m] = min(ranks[m], others)
     ranks = tuple(ranks)
@@ -811,8 +804,8 @@ def load_fit(fit_dir):
 
     Raises ``ValueError`` when ``report.json`` lacks a required key, holds a
     value of the wrong type or a ``format_version`` other than 1 (a missing
-    one reads as 1), or when the core's extents disagree with the ranks or
-    the loading shapes.
+    one reads as 1), or when the core's extents disagree with the ranks, the
+    loading shapes or the sieve coefficients' (basis size by core extent).
     """
     with open(os.path.join(fit_dir, "report.json")) as fh:
         report = json.load(fh)
@@ -852,6 +845,10 @@ def load_fit(fit_dir):
             X, _ = read_covariates_csv(
                 os.path.join(fit_dir, f"covariates_mode{m + 1}.csv"))
             designs.append(build_design(X, spec))
+            shape = (designs[m].n_basis, core.shape[m])
+            if coeffs[m] is not None and coeffs[m].shape != shape:
+                raise ValueError(f"sieve_coeffs_mode{m + 1}.csv has shape "
+                                 f"{coeffs[m].shape}, not {shape}")
     fit = StefaFit(core=core, g_loadings=g, a_loadings=a, gamma=gamma,
                    sieve_coeffs=coeffs, ranks=tuple(report["ranks"]),
                    iterations_used=report["iterations_used"],

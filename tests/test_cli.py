@@ -3,6 +3,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,11 @@ def test_ranks_kmax_and_missing_file(workdir, capsys):
                  "--kmax", "1"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "1 1 1"
+    for kmax in ("0", "-3"):
+        code = main(["ranks", "--tensor", str(root / "y.tns"), *cov_args(root),
+                     "--kmax", kmax])
+        assert code == 2
+        assert "k_max must be None or an integer >= 1" in capsys.readouterr().err
     assert main(["ranks", "--tensor", str(root / "missing.tns")]) == 2
     capsys.readouterr()
 
@@ -207,16 +213,19 @@ def test_predict_on_report_without_format_version_reads_version_1(workdir,
 
 
 def test_fit_on_overflowing_tensor_is_numeric_error(tmp_path, capsys):
-    # finite entries whose squares overflow: the eigensolver fails on the
-    # non-finite mode Gram, a numeric failure and not bad usage
+    # finite entries whose squares overflow: a numeric failure, not bad
+    # usage, named before any pass could warn of the overflow
     signs = np.random.default_rng(0).random((10, 10, 10)) < 0.5
     write_tns(tmp_path / "big.tns", np.where(signs, -1e200, 1e200))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["fit", "--tensor", str(tmp_path / "big.tns"),
-                     "--ranks", "2,2,2", "--out", str(tmp_path / "fit")])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: LinAlgError: ") and "Traceback" not in err
+    for command in (["fit", "--ranks", "2,2,2", "--out", str(tmp_path / "fit")],
+                    ["ranks"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--tensor", str(tmp_path / "big.tns")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("error: EstimationError: squared norm of the tensor "
+                       "overflows; rescale it\n")
 
 
 def test_predict_without_covariates_is_numeric_error(workdir, capsys):
@@ -373,3 +382,29 @@ def test_predict_on_drawn_report_values_never_raises(workdir, fuzz_fit_dir,
                               "--out", str(Path(tmp) / "pred")])
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in err
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mode=st.integers(-3, 6),
+       bandwidth=st.one_of(
+           st.sampled_from(["auto", "nan", "inf", "-inf", "0", "-0.0", "-2",
+                            "1e-300", "1e300", "0.5"]),
+           st.floats().map(repr), _TEXT),
+       kernel=st.sampled_from(["gaussian", "epanechnikov", "cosine", ""]),
+       method=st.sampled_from(["stefa", "vanilla", "hooi"]))
+def test_predict_options_never_raise(workdir, fuzz_fit_dir, mode, bandwidth,
+                                     kernel, method):
+    root, _ = workdir
+    with tempfile.TemporaryDirectory() as tmp:
+        # the "=" form passes values such as "-inf" that look like options
+        code, err = _run_cli(["predict", "--fit", str(fuzz_fit_dir),
+                              "--new-covariates", str(root / "x1.csv"),
+                              f"--mode={mode}", f"--bandwidth={bandwidth}",
+                              f"--kernel={kernel}", f"--method={method}",
+                              "--out", str(Path(tmp) / "pred")])
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if not 1 <= mode <= 3 and kernel in ("gaussian", "epanechnikov") \
+            and method in ("stefa", "vanilla"):
+        assert f"--mode {mode} not in [1, 3]" in err

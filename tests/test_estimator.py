@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from stefa.estimator import (DegenerateCoreError, RankExceedsSpanError,
+from stefa.estimator import (DegenerateCoreError, EstimationError,
+                             RankExceedsSpanError,
                              _check_ranks, calibrate, compress, estimate_core,
                              estimate_loadings, estimate_ranks, fit_stefa, hooi,
                              ipsvd_iterate, load_fit, save_fit,
@@ -117,16 +119,15 @@ def test_non_finite_entries_raise_but_overflowing_squares_do_not():
         for fit in fits:
             with pytest.raises(ValueError, match="tensor has non-finite entries"):
                 fit(z)
-    # every entry is finite, but ||Y||^2 overflows to inf; the fits may fail
-    # later, in the spectral steps, but not at the finiteness check
+    # every entry is finite, but ||Y||^2 overflows to inf: compress names the
+    # overflow before any other pass (so no mode Gram warns of it)
     big = 1e200 * np.sign(y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert compress(big, designs).sq_norm == np.inf
-        for fit in fits:
-            try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in fits + (lambda t: compress(t, designs),
+                           lambda t: estimate_ranks(t, designs)):
+            with pytest.raises(EstimationError, match="overflows"):
                 fit(big)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                assert "tensor has non-finite entries" not in str(exc)
 
 
 def reference_hooi(Y, ranks, max_iter=50, tol=1e-8):
@@ -394,7 +395,9 @@ def test_fixed_rank_fit_compresses_the_tensor_once(monkeypatch):
     for ranks in [(2, 2, 2), None]:
         reads.clear()
         fit_stefa(y, designs, ranks=ranks)
-        assert len(reads) == 2
+        # along the first and the last mode: the middle-mode product reads Y
+        # in per-slab GEMMs, slower than either
+        assert reads == [0, 2]
 
 
 def _close(a, b, tol=1e-12):
@@ -556,6 +559,9 @@ def test_estimate_ranks_noiseless():
 def test_estimate_ranks_kmax_cap_and_profile():
     inst, designs = inspan_instance(seed=11)
     assert estimate_ranks(inst.signal, designs, k_max=1) == (1, 1, 1)
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="k_max must be None or an integer"):
+            estimate_ranks(inst.signal, designs, k_max=bad)
     ranks, profiles = estimate_ranks(inst.signal, designs, return_profile=True)
     # covariate-mode search stops one below the sieve span dimension (7)
     assert all(len(p) <= 6 for p in profiles)
@@ -655,4 +661,10 @@ def test_load_fit_rejects_missing_keys_and_inconsistent_shapes(tmp_path):
     lines = a_path.read_text().splitlines()
     a_path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
     with pytest.raises(ValueError, match="a_loadings_mode3"):
+        load_fit(out)
+
+    a_path.write_text("\n".join(lines) + "\n")
+    (out / "sieve_coeffs_mode2.csv").write_text("b1,b2\n0.5,0.25\n")
+    with pytest.raises(ValueError, match=(rf"sieve_coeffs_mode2\.csv has shape "
+                                          rf"\(1, 2\), not \({designs[1].n_basis}, 2\)")):
         load_fit(out)
