@@ -179,7 +179,8 @@ def _check_design_shapes(Y, designs) -> None:
 
 def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
     """Per-mode ranks as ints, an identity mode's being its extent whatever
-    ``ranks`` holds for it.  Every other rank must lie in [1, I_m], not
+    ``ranks`` holds for it.  At least one mode must not be an identity
+    mode.  Every other rank must lie in [1, I_m], not
     exceed the product of the other ranks (the Tucker condition, identity
     modes counting at their extent) and, on a covariate mode, fit its sieve
     span."""
@@ -192,6 +193,9 @@ def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
     ranks = tuple(d if m in identity_modes else r
                   for m, (r, d) in enumerate(zip(ranks, dims)))
     modes = [m for m in range(len(dims)) if m not in identity_modes]
+    if not modes:
+        raise ValueError("every mode is an identity mode; at least one mode "
+                         "must be estimated")
     # every range first: the products below then neither overflow nor name
     # an out-of-range rank as the fault of another mode
     for m in modes:
@@ -710,9 +714,28 @@ def _write_matrix_csv(path, mat, prefix="c"):
     np.savetxt(path, mat, delimiter=",", header=header, comments="")
 
 
-def _read_matrix_csv(path):
-    # ndmin=2 keeps a one-column file (a rank-1 mode) a column
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+def _read_matrix_csv(path, prefix):
+    """Read a file of :func:`_write_matrix_csv`: the header ``{prefix}1,
+    ..., {prefix}k``, then at least one row of k finite numbers."""
+    name = os.path.basename(path)
+    with open(path) as fh:
+        names = fh.readline().rstrip("\r\n").split(",")
+        rows = [line for line in fh if line.strip()]
+    if names != [f"{prefix}{j + 1}" for j in range(len(names))]:
+        raise ValueError(f"{name}: the header is not {prefix}1,{prefix}2,...")
+    if not rows:
+        raise ValueError(f"{name}: no data rows")
+    try:
+        # ndmin=2 keeps a one-column file (a rank-1 mode) a column
+        mat = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if mat.shape[1] != len(names):
+        raise ValueError(f"{name}: rows of {mat.shape[1]} values under "
+                         f"{len(names)} column names")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name}: non-finite value")
+    return mat
 
 
 def _is(kind):
@@ -804,8 +827,11 @@ def load_fit(fit_dir):
 
     Raises ``ValueError`` when ``report.json`` lacks a required key, holds a
     value of the wrong type or a ``format_version`` other than 1 (a missing
-    one reads as 1), or when the core's extents disagree with the ranks, the
-    loading shapes or the sieve coefficients' (basis size by core extent).
+    one reads as 1); when a matrix file lacks the header ``save_fit``
+    writes, has no data rows, rows of unequal length or a non-finite value,
+    or the core a non-finite value; or when the core's extents disagree with
+    the ranks, the loading shapes or the sieve coefficients' (basis size by
+    core extent), or the covariate rows with the loading rows.
     """
     with open(os.path.join(fit_dir, "report.json")) as fh:
         report = json.load(fh)
@@ -815,17 +841,23 @@ def load_fit(fit_dir):
         raise ValueError(f"report.json key 'format_version' must be "
                          f"{_FORMAT_VERSION}, got {version!r}")
     core = read_tns(os.path.join(fit_dir, "core.tns"))
+    if not np.all(np.isfinite(core)):
+        raise ValueError("core.tns has non-finite values")
     if tuple(report["ranks"]) != core.shape:
         raise ValueError(f"report.json ranks {report['ranks']} disagree with "
                          f"the core extents {list(core.shape)}")
     order = core.ndim
     g, a, gamma, coeffs, designs = [], [], [], [], []
     for m in range(order):
-        g.append(_read_matrix_csv(os.path.join(fit_dir, f"g_loadings_mode{m + 1}.csv")))
-        a.append(_read_matrix_csv(os.path.join(fit_dir, f"a_loadings_mode{m + 1}.csv")))
-        gamma.append(_read_matrix_csv(os.path.join(fit_dir, f"gamma_mode{m + 1}.csv")))
+        g.append(_read_matrix_csv(
+            os.path.join(fit_dir, f"g_loadings_mode{m + 1}.csv"), "g"))
+        a.append(_read_matrix_csv(
+            os.path.join(fit_dir, f"a_loadings_mode{m + 1}.csv"), "a"))
+        gamma.append(_read_matrix_csv(
+            os.path.join(fit_dir, f"gamma_mode{m + 1}.csv"), "gamma"))
         coeff_path = os.path.join(fit_dir, f"sieve_coeffs_mode{m + 1}.csv")
-        coeffs.append(_read_matrix_csv(coeff_path) if os.path.exists(coeff_path) else None)
+        coeffs.append(_read_matrix_csv(coeff_path, "b")
+                      if os.path.exists(coeff_path) else None)
         # every loading is I_m x (core extent); G fixes I_m
         expected = (g[m].shape[0], core.shape[m])
         for name, mat in (("g_loadings", g[m]), ("a_loadings", a[m]),
@@ -844,6 +876,10 @@ def load_fit(fit_dir):
                              domain=tuple(info["domain"]))
             X, _ = read_covariates_csv(
                 os.path.join(fit_dir, f"covariates_mode{m + 1}.csv"))
+            if X.shape[0] != expected[0]:
+                raise ValueError(f"covariates_mode{m + 1}.csv has {X.shape[0]} "
+                                 f"rows; the loadings of mode {m + 1} have "
+                                 f"{expected[0]}")
             designs.append(build_design(X, spec))
             shape = (designs[m].n_basis, core.shape[m])
             if coeffs[m] is not None and coeffs[m].shape != shape:

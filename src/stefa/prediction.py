@@ -63,8 +63,11 @@ def kernel_weights(X_new: np.ndarray, X_train: np.ndarray,
                    spec: KernelSpec = KernelSpec()) -> WeightMatrix:
     """Row-stochastic kernel weights between new and training covariate rows.
 
-    Rows whose kernel values all underflow to zero fall back to a point mass
-    on the nearest training row; those rows are listed in ``fallback_rows``.
+    The Gaussian kernel gives the nearest training row the value 1, so its
+    rows are never empty, and a bandwidth tending to 0 tends to the point
+    mass on the nearest row.  Epanechnikov rows with no training row within
+    the bandwidth fall back to a point mass on the nearest training row;
+    rows that fall back are listed in ``fallback_rows``.
     """
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
@@ -73,12 +76,16 @@ def kernel_weights(X_new: np.ndarray, X_train: np.ndarray,
                          f"{X_train.shape[1]}")
     h = _resolve_bandwidth(X_train, spec)
     d = cdist(X_new, X_train)
-    if spec.family == "gaussian":
-        # subtract the row-min before exponentiating so near rows never underflow
-        z = (d / h) ** 2 / 2.0
-        k = np.exp(-(z - z.min(axis=1, keepdims=True)))
-    else:
-        k = np.maximum(0.0, 1.0 - (d / h) ** 2)
+    # at a tiny h the scaled squared distances overflow to inf, kernel value 0
+    with np.errstate(over="ignore"):
+        if spec.family == "gaussian":
+            # the exponent (d^2 - min d^2) / (2h^2) is 0 at the nearest row,
+            # so the h -> 0 limit is the point mass there (h divides twice
+            # because h^2 may underflow)
+            d2 = d * d
+            k = np.exp(-((d2 - d2.min(axis=1, keepdims=True)) / (2.0 * h) / h))
+        else:
+            k = np.maximum(0.0, 1.0 - (d / h) ** 2)
     sums = k.sum(axis=1)
     fallback = []
     W = np.zeros_like(k)

@@ -157,19 +157,22 @@ def eval_loading_function(spec: BasisSpec, B: np.ndarray, x: np.ndarray,
 
 
 def read_covariates_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Read a covariate CSV: one header row of names, then all-numeric rows."""
+    """Read a covariate CSV: one header row of names, then rows of finite
+    numbers, one per name."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
     names = [c.strip() for c in rows[0]]
+    if any(len(row) != len(names) for row in rows[1:]):
+        raise ValueError(f"{path}: ragged rows")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric covariate value ({exc})") from None
-    if data.shape[1] != len(names):
-        raise ValueError(f"{path}: ragged rows")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite covariate value")
     return data, names
 
 

@@ -3,8 +3,11 @@
 The generator draws a Tucker-structured signal whose loadings depend on
 uniform covariates through additive (or multiplicative) Legendre expansions,
 plus an optional covariate-orthogonal loading part and unit-variance
-Gaussian noise.  The harness runs named experiment grids over replications
-with counter-derived seeds and writes plot-ready CSV summaries.
+Gaussian noise.  The noise is added to the signal's own buffer in mode-0
+row blocks, so a draw holds one tensor of the observation's size; the
+signal is formed again only when :attr:`SimInstance.signal` is read.  The
+harness runs named experiment grids over replications with counter-derived
+seeds and writes plot-ready CSV summaries.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,17 +81,27 @@ class SimConfig:
 
 @dataclass
 class SimInstance:
-    """One synthetic draw: observation, signal, and all ground-truth parts."""
+    """One synthetic draw: observation and all ground-truth parts.
+
+    The signal is not stored: :attr:`signal` forms it from the core and the
+    loadings on first access and keeps it, so an instance whose signal is
+    never read holds one tensor of the observation's size.
+    """
 
     config: SimConfig
     observed: np.ndarray              # Y = signal + noise
-    signal: np.ndarray                # core contracted with the loadings
     core: np.ndarray
     a_loadings: list                  # orthonormal columns
     g_loadings: list                  # covariate-driven part, orthonormal columns
     gamma: list                       # orthogonal part, column norm tau (pre-QR)
     covariates: list                  # I_m x D uniforms
     loading_functions: list           # callables X (n x D) -> n x R
+
+    @cached_property
+    def signal(self) -> np.ndarray:
+        """The core contracted with the loadings, bit-identical to the
+        signal inside :attr:`observed`."""
+        return multi_mode_product(self.core, self.a_loadings)
 
 
 def _multiplicative_raw(X, xi, kappa):
@@ -114,7 +128,8 @@ def generate(config: SimConfig) -> SimInstance:
     """Draw one synthetic instance; bit-identical for identical configs.
 
     Draw order: core, then per mode (covariates, basis coefficients, and the
-    orthogonal-part directions when tau > 0), then the noise tensor.
+    orthogonal-part directions when tau > 0), then the noise tensor, drawn
+    in consecutive mode-0 row blocks that continue one stream.
     """
     dims = tuple(int(d) for d in config.dims)
     R, D, J = config.rank, config.n_covariates, config.j_star
@@ -188,12 +203,14 @@ def generate(config: SimConfig) -> SimInstance:
         x_list.append(X)
         fun_list.append(fun)
 
-    signal = multi_mode_product(core, a_list)
-    # the noise is drawn into the observation itself, so no separate
-    # noise tensor stays alive
-    observed = rng.standard_normal(dims)
-    observed += signal
-    return SimInstance(config=config, observed=observed, signal=signal,
+    # the noise is added to the signal in mode-0 row blocks: consecutive
+    # draws continue the stream of one whole-tensor draw, so the observation
+    # is bit-identical to signal + noise with one tensor of its size alive
+    observed = multi_mode_product(core, a_list)
+    for rows in _row_slices(dims):
+        block = observed[rows]
+        block += rng.standard_normal(block.shape)
+    return SimInstance(config=config, observed=observed,
                        core=core, a_loadings=a_list, g_loadings=g_list,
                        gamma=gamma_list, covariates=x_list,
                        loading_functions=fun_list)
@@ -361,18 +378,24 @@ PROTOCOLS = {
 }
 
 
-# values in one row block of a scored reconstruction: about 1 MB
+# values in one mode-0 row block of the noise draw and of a scored
+# reconstruction: about 1 MB
 _BLOCK_VALUES = 1 << 17
+
+
+def _row_slices(dims):
+    """Consecutive mode-0 row slices of a tensor of extents ``dims``, each of
+    about ``_BLOCK_VALUES`` values and at least one row."""
+    step = max(1, _BLOCK_VALUES // math.prod(dims[1:]))
+    for start in range(0, dims[0], step):
+        yield slice(start, min(start + step, dims[0]))
 
 
 def _row_blocks(core, loadings):
     """Yield ``(rows, core x_0 loadings[0][rows] x_1 loadings[1] x_2 ...)``
-    over consecutive mode-0 row blocks of about ``_BLOCK_VALUES`` values (at
-    least one row each), so the Tucker reconstruction is never formed whole."""
-    dims = [a.shape[0] for a in loadings]
-    step = max(1, _BLOCK_VALUES // math.prod(dims[1:]))
-    for start in range(0, dims[0], step):
-        rows = slice(start, min(start + step, dims[0]))
+    over the row slices of :func:`_row_slices`, so the Tucker reconstruction
+    is never formed whole."""
+    for rows in _row_slices([a.shape[0] for a in loadings]):
         yield rows, multi_mode_product(core, [loadings[0][rows], *loadings[1:]])
 
 

@@ -20,8 +20,10 @@ more than 2**18 values is split into contiguous chunks, one per started 2**18
 values and at most one per CPU this process may run on, each handled by a
 worker process started with ``fork``.  Smaller tensors start no process, and
 where ``fork`` or ``os.sched_getaffinity`` is missing everything runs in this
-process.  The parsed array and the written file are identical for any number
-of chunks.
+process.  A writing worker formats its chunk into a part file beside the
+destination, 2**13 values at a time, and this process appends the parts in
+order, so no process holds the text of the file.  The parsed array and the
+written file are identical for any number of chunks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import re
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -50,6 +54,8 @@ __all__ = [
 # text I/O starts one worker per started chunk of this many values: about
 # 0.2 s of parsing or formatting, well above the 20-30 ms of a fork
 _CHUNK_VALUES = 1 << 18
+# values formatted at a time: about 0.2 MB of text and 0.5 MB of strings
+_FORMAT_VALUES = 1 << 13
 # one whitespace-delimited token (``\s`` is what ``str.split`` splits on)
 _TOKEN = re.compile(r"\s*(\S+)")
 _SPACE = re.compile(r"\s")
@@ -296,13 +302,26 @@ def read_tns(path) -> np.ndarray:
     return values.reshape(dims, order="C")
 
 
+def _append_values(chunk) -> None:
+    """Append the lines of ``values`` to the file at ``path``, where
+    ``chunk`` is the pair ``(values, path)``, formatting ``_FORMAT_VALUES``
+    values at a time."""
+    values, path = chunk
+    with open(path, "a") as fh:
+        for i in range(0, values.size, _FORMAT_VALUES):
+            fh.write(_format_values(values[i:i + _FORMAT_VALUES]))
+
+
 def write_tns(path, t: np.ndarray) -> None:
     """Write ``t`` in the format of :func:`read_tns`, 8 ``repr`` values a line.
 
     The values are cut at multiples of 8 into n = min(CPUs this process may
-    run on, ceil(values / 2**18)) chunks and formatted in n forked worker
-    processes (in this process when n == 1, and n is 1 where ``fork`` is not
-    a start method).  The file is byte-identical for any n.
+    run on, ceil(values / 2**18)) chunks.  With n == 1 (always where ``fork``
+    is not a start method) this process appends them to the file.  Otherwise
+    n forked worker processes each format one chunk into a part file beside
+    ``path``, and this process appends the parts in order after the header;
+    it removes them, also when a worker fails.  No process holds the text of
+    more than 2**13 values, and the file is byte-identical for any n.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel(order="C")
@@ -311,5 +330,21 @@ def write_tns(path, t: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"{t.ndim}\n")
         fh.write(" ".join(str(d) for d in t.shape) + "\n")
-        for text in _map_chunks(_format_values, chunks):
-            fh.write(text)
+    if len(chunks) == 1:
+        _map_chunks(_append_values, [(flat, path)])
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    parts = []
+    try:
+        for _ in chunks:
+            fd, part = tempfile.mkstemp(suffix=".part", dir=folder)
+            os.close(fd)
+            parts.append(part)
+        _map_chunks(_append_values, list(zip(chunks, parts)))
+        with open(path, "ab") as out:
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
+    finally:
+        for part in parts:
+            os.remove(part)

@@ -408,3 +408,81 @@ def test_predict_options_never_raise(workdir, fuzz_fit_dir, mode, bandwidth,
     if not 1 <= mode <= 3 and kernel in ("gaussian", "epanechnikov") \
             and method in ("stefa", "vanilla"):
         assert f"--mode {mode} not in [1, 3]" in err
+
+
+_MATRIX_FILES = ["g_loadings", "a_loadings", "gamma", "sieve_coeffs",
+                 "covariates"]
+
+
+@st.composite
+def _broken_csv(draw, text, names_matter):
+    """``text``, a CSV of a header and numeric rows, with one fault: an empty
+    file or one without data rows, a wrong header (a name missing or extra,
+    the header line dropped or, when ``names_matter``, a name changed), a row
+    one value short or long, or a NaN or infinite value."""
+    header, *rows = text.splitlines()
+    names = header.split(",")
+    fault = draw(st.sampled_from(["empty", "header", "ragged", "non-finite"]))
+    if fault == "empty":
+        return draw(st.sampled_from(["", "\n", header + "\n"]))
+    if fault == "header":
+        kinds = ["missing", "extra", "dropped"] + ["renamed"] * names_matter
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dropped":
+            return "\n".join(rows) + "\n"
+        if kind == "missing":
+            names = names[:-1] if len(names) > 1 else names + ["extra"]
+        elif kind == "extra":
+            names = names + [draw(st.sampled_from(["extra", names[-1], ""]))]
+        else:
+            j = draw(st.integers(0, len(names) - 1))
+            names[j] = draw(_TEXT.filter(lambda s: s != names[j]
+                                         and "\n" not in s and "\r" not in s))
+        header = ",".join(names)
+    else:
+        i = draw(st.integers(0, len(rows) - 1))
+        values = rows[i].split(",")
+        if fault == "ragged":
+            short = len(values) > 1 and draw(st.booleans())
+            values = values[:-1] if short else values + ["0.5"]
+        else:
+            j = draw(st.integers(0, len(values) - 1))
+            values[j] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf",
+                                              "1e999"]))
+        rows[i] = ",".join(values)
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(_MATRIX_FILES), mode=st.integers(1, 3),
+       data=st.data())
+def test_predict_on_drawn_matrix_files_is_usage_error(workdir, fuzz_fit_dir,
+                                                      name, mode, data):
+    root, _ = workdir
+    with tempfile.TemporaryDirectory() as tmp:
+        fit_dir = Path(tmp) / "fit"
+        shutil.copytree(fuzz_fit_dir, fit_dir)
+        path = fit_dir / f"{name}_mode{mode}.csv"
+        path.write_text(data.draw(_broken_csv(path.read_text(),
+                                              name != "covariates")))
+        code, err = _run_cli(["predict", "--fit", str(fit_dir),
+                              "--new-covariates", str(root / "x1.csv"),
+                              "--out", str(Path(tmp) / "pred")])
+    assert code == 2, (code, err)
+    assert "Traceback" not in err and path.name in err
+
+
+def test_predict_on_non_finite_core_is_usage_error(workdir, fuzz_fit_dir,
+                                                   tmp_path):
+    root, _ = workdir
+    fit_dir = tmp_path / "fit"
+    shutil.copytree(fuzz_fit_dir, fit_dir)
+    core = read_tns(fit_dir / "core.tns")
+    core.flat[-1] = np.nan
+    write_tns(fit_dir / "core.tns", core)
+    code, err = _run_cli(["predict", "--fit", str(fit_dir),
+                          "--new-covariates", str(root / "x1.csv"),
+                          "--out", str(tmp_path / "pred")])
+    assert code == 2
+    assert "core.tns has non-finite values" in err and "Traceback" not in err

@@ -548,6 +548,15 @@ def test_identity_mode_counts_at_its_extent(ranks):
     assert np.array_equal(fit.a_loadings[2], np.eye(12))
 
 
+def test_every_mode_an_identity_mode_is_rejected():
+    y = np.random.default_rng(0).standard_normal((4, 5, 6))
+    for ranks in ((1, 1, 1), None):
+        with pytest.raises(ValueError, match="every mode is an identity mode"):
+            fit_stefa(y, None, ranks=ranks, identity_modes=(0, 1, 2))
+    with pytest.raises(ValueError, match="every mode is an identity mode"):
+        ipsvd_iterate(y, None, (1, 1, 1), identity_modes=(0, 1, 2))
+
+
 # ---------------------------------------------------------------------------
 # rank estimation
 

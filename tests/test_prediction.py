@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from stefa.estimator import EstimationError, fit_stefa, hooi
 from stefa.prediction import (KernelSpec, kernel_weights, predict_stefa,
@@ -36,6 +39,24 @@ def test_tiny_bandwidth_selects_nearest_row():
     Xt = rng.uniform(size=(25, 2))
     wm = kernel_weights(Xt, Xt, KernelSpec(bandwidth=1e-8))
     assert np.allclose(wm.W, np.eye(25), atol=1e-12)
+
+
+def test_vanishing_bandwidth_is_the_nearest_row_without_fallback():
+    rng = np.random.default_rng(6)
+    Xt = rng.uniform(size=(25, 2))
+    Xn = rng.uniform(size=(7, 2))
+    nearest = np.eye(25)[np.argmin(cdist(Xn, Xt), axis=1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1e-300, 5e-324):
+            wm = kernel_weights(Xn, Xt, KernelSpec(bandwidth=h))
+            assert wm.fallback_rows == []
+            assert np.array_equal(wm.W, nearest)
+            # no training row lies within h: every Epanechnikov row falls back
+            wm = kernel_weights(Xn, Xt, KernelSpec(family="epanechnikov",
+                                                   bandwidth=h))
+            assert wm.fallback_rows == list(range(7))
+            assert np.array_equal(wm.W, nearest)
 
 
 def test_huge_bandwidth_approaches_uniform():

@@ -163,3 +163,17 @@ def test_covariates_csv_rejects_bad_files(tmp_path):
     path.write_text("x1,x2\n")
     with pytest.raises(ValueError):
         read_covariates_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2\n0.1,0.2\n0.3\n", "ragged rows"),
+    ("x1,x2\n0.1\n0.3\n", "ragged rows"),
+    ("x1,x2\n0.1,nan\n", "non-finite covariate value"),
+    ("x1,x2\n0.1,0.2\n-inf,0.3\n", "non-finite covariate value")],
+    ids=["one-short-row", "every-row-short", "nan", "inf"])
+def test_covariates_csv_names_ragged_and_non_finite_rows(tmp_path, text,
+                                                         message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_covariates_csv(path)

@@ -6,6 +6,7 @@ import pytest
 from stefa.simlab import (PROTOCOLS, SimConfig, generate, loss_function,
                           loss_function_best_linear, loss_remse, loss_subspace,
                           noise_amplify_refit, run_experiment)
+from stefa.tensor import multi_mode_product
 
 
 def small_config(**kw):
@@ -65,6 +66,41 @@ def test_loading_orthonormality_and_signal_decomposition():
     n = noise.size
     assert abs(noise.mean()) <= 4.0 / np.sqrt(n)
     assert abs(noise.var() - 1.0) <= 4.0 * np.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("block", [1, 7 * 30 * 30])
+def test_noise_row_blocks_continue_one_draw(monkeypatch, block):
+    import stefa.simlab
+    # the default block holds the whole 30 x 30 x 30 draw; rows of one and
+    # of seven (a ragged last block of two) must give the same bits
+    whole = generate(small_config(seed=14)).observed
+    monkeypatch.setattr(stefa.simlab, "_BLOCK_VALUES", block)
+    blocked = generate(small_config(seed=14)).observed
+    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
+def test_generate_holds_one_observation_sized_array():
+    import tracemalloc
+    generate(small_config(seed=12))             # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        inst = generate(small_config(dims=(100, 100, 110), seed=12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.observed.nbytes >= 8 * 2 ** 20
+    # the noise is added to the signal's buffer a row block at a time; a
+    # stored signal beside a whole noise draw peaked at 2.0
+    assert peak < 1.25 * inst.observed.nbytes
+
+
+def test_signal_is_formed_on_first_access_and_kept():
+    inst = generate(small_config(seed=13))
+    assert "signal" not in vars(inst)
+    signal = inst.signal
+    want = multi_mode_product(inst.core, inst.a_loadings)
+    assert np.array_equal(signal.view(np.int64), want.view(np.int64))
+    assert inst.signal is signal
 
 
 def test_tau_zero_means_loadings_are_covariate_driven():

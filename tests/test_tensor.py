@@ -317,6 +317,35 @@ def test_tns_one_line_and_crlf_files_parse_alike(tmp_path, two_workers):
         assert np.array_equal(read_tns(tmp_path / name).view(np.int64), ref)
 
 
+def test_tns_write_holds_no_text_in_this_process(tmp_path, two_workers):
+    import tracemalloc
+    t = extreme_tensor()
+    tracemalloc.start()
+    try:
+        write_tns(tmp_path / "t.tns", t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert two_workers == [2]
+    # the text of the chunks is about 6 MB
+    assert peak < 2 ** 20
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tns"]
+    assert np.array_equal(read_tns(tmp_path / "t.tns"), t, equal_nan=True)
+
+
+def test_tns_write_removes_its_parts_when_a_worker_fails(tmp_path, two_workers,
+                                                        monkeypatch):
+    def fail(values):
+        raise RuntimeError("formatting failed")
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(tensor_module, "_format_values", fail)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_tns(tmp_path / "t.tns", extreme_tensor())
+    assert two_workers == [2]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tns"]
+
+
 def test_tns_header_and_count_checks(tmp_path):
     path = tmp_path / "bad.tns"
     path.write_text("2\n2 3\n1 2 3 4 5\n")     # five values, six expected
