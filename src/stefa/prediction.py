@@ -3,11 +3,14 @@
 The model-based predictor extrapolates the covariate-explained part of a
 loading through its sieve coefficients and kernel-smooths the remainder
 (sieve residual plus covariate-orthogonal part) from the training rows.
-The baseline predictor kernel-smooths whole reconstructed slices.
+The baseline predictor kernel-smooths whole reconstructed slices.  Both
+warn (``RuntimeWarning``) when new rows have no training row within the
+bandwidth and so copy their nearest training row.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,16 +79,19 @@ def kernel_weights(X_new: np.ndarray, X_train: np.ndarray,
                          f"{X_train.shape[1]}")
     h = _resolve_bandwidth(X_train, spec)
     d = cdist(X_new, X_train)
-    # at a tiny h the scaled squared distances overflow to inf, kernel value 0
-    with np.errstate(over="ignore"):
-        if spec.family == "gaussian":
-            # the exponent (d^2 - min d^2) / (2h^2) is 0 at the nearest row,
-            # so the h -> 0 limit is the point mass there (h divides twice
-            # because h^2 may underflow)
-            d2 = d * d
+    if spec.family == "gaussian":
+        # the exponent (d^2 - min d^2) / (2h^2) is 0 at the nearest row, so
+        # the h -> 0 limit is the point mass there (h divides twice because
+        # h^2 may underflow; at a tiny h the other exponents overflow to inf,
+        # kernel value 0)
+        d2 = d * d
+        with np.errstate(over="ignore"):
             k = np.exp(-((d2 - d2.min(axis=1, keepdims=True)) / (2.0 * h) / h))
-        else:
-            k = np.maximum(0.0, 1.0 - (d / h) ** 2)
+    else:
+        # min(d, h) / h is d / h within the bandwidth and 1 beyond it, so it
+        # cannot overflow
+        u = np.minimum(d, h) / h
+        k = 1.0 - u * u
     sums = k.sum(axis=1)
     fallback = []
     W = np.zeros_like(k)
@@ -96,6 +102,18 @@ def kernel_weights(X_new: np.ndarray, X_train: np.ndarray,
             W[i, int(np.argmin(d[i]))] = 1.0
             fallback.append(i)
     return WeightMatrix(W=W, bandwidth=h, fallback_rows=fallback)
+
+
+def _smoothing_weights(X_new, X_train, spec: KernelSpec) -> np.ndarray:
+    """``kernel_weights(X_new, X_train, spec).W``, with a ``RuntimeWarning``
+    when rows fall back to their nearest training row."""
+    wm = kernel_weights(X_new, X_train, spec)
+    if wm.fallback_rows:
+        warnings.warn(f"{len(wm.fallback_rows)} of {wm.W.shape[0]} new rows "
+                      f"have no training row within bandwidth {wm.bandwidth:g}"
+                      "; each copies its nearest training row",
+                      RuntimeWarning, stacklevel=3)
+    return wm.W
 
 
 def _check_mode(fit: StefaFit, mode: int) -> None:
@@ -131,7 +149,7 @@ def predict_stefa(fit: StefaFit, designs, X_new: np.ndarray,
     b = fit.sieve_coeffs[mode]
     sieve_new = eval_basis(X_new, d.spec) @ b
     resid_train = fit.a_loadings[mode] - d.phi @ b
-    W = kernel_weights(X_new, d.covariates, spec).W
+    W = _smoothing_weights(X_new, d.covariates, spec)
     loading_new = sieve_new + W @ resid_train
     return mode_product(base, loading_new, mode)
 
@@ -146,5 +164,5 @@ def predict_vanilla(hooi_fit, X_train: np.ndarray, X_new: np.ndarray,
     if X_train.shape[0] != s.shape[mode]:
         raise ValueError(f"covariate rows {X_train.shape[0]} do not match "
                          f"mode-{mode} extent {s.shape[mode]}")
-    W = kernel_weights(X_new, X_train, spec).W
+    W = _smoothing_weights(X_new, X_train, spec)
     return mode_product(s, W, mode)

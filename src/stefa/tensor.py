@@ -20,10 +20,11 @@ more than 2**18 values is split into contiguous chunks, one per started 2**18
 values and at most one per CPU this process may run on, each handled by a
 worker process started with ``fork``.  Smaller tensors start no process, and
 where ``fork`` or ``os.sched_getaffinity`` is missing everything runs in this
-process.  A writing worker formats its chunk into a part file beside the
-destination, 2**13 values at a time, and this process appends the parts in
-order, so no process holds the text of the file.  The parsed array and the
-written file are identical for any number of chunks.
+process.  A writing worker formats its chunk 2**13 values at a time, the
+first straight into the destination and each other into a part file beside
+it, and this process appends the parts in order, so no process holds the
+text of the file.  The parsed array and the written file are identical for
+any number of chunks.
 """
 
 from __future__ import annotations
@@ -316,12 +317,13 @@ def write_tns(path, t: np.ndarray) -> None:
     """Write ``t`` in the format of :func:`read_tns`, 8 ``repr`` values a line.
 
     The values are cut at multiples of 8 into n = min(CPUs this process may
-    run on, ceil(values / 2**18)) chunks.  With n == 1 (always where ``fork``
-    is not a start method) this process appends them to the file.  Otherwise
-    n forked worker processes each format one chunk into a part file beside
-    ``path``, and this process appends the parts in order after the header;
-    it removes them, also when a worker fails.  No process holds the text of
-    more than 2**13 values, and the file is byte-identical for any n.
+    run on, ceil(values / 2**18)) chunks, formatted in n forked worker
+    processes (in this process when n == 1, and n is 1 where ``fork`` is not
+    a start method).  The first chunk is appended to ``path`` after the
+    header, each other chunk to a part file beside ``path``, and this process
+    then appends the parts in order; it removes them, also when a worker
+    fails.  No process holds the text of more than 2**13 values, and the file
+    is byte-identical for any n.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel(order="C")
@@ -330,17 +332,14 @@ def write_tns(path, t: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"{t.ndim}\n")
         fh.write(" ".join(str(d) for d in t.shape) + "\n")
-    if len(chunks) == 1:
-        _map_chunks(_append_values, [(flat, path)])
-        return
     folder = os.path.dirname(os.path.abspath(path))
     parts = []
     try:
-        for _ in chunks:
+        for _ in chunks[1:]:
             fd, part = tempfile.mkstemp(suffix=".part", dir=folder)
             os.close(fd)
             parts.append(part)
-        _map_chunks(_append_values, list(zip(chunks, parts)))
+        _map_chunks(_append_values, list(zip(chunks, [path] + parts)))
         with open(path, "ab") as out:
             for part in parts:
                 with open(part, "rb") as src:

@@ -143,6 +143,23 @@ def test_predict_roundtrip(workdir, capsys):
     capsys.readouterr()
 
 
+def test_predict_names_rows_that_fall_back(workdir, capsys):
+    root, inst = workdir
+    # rows off the training rows: none lies within a bandwidth of 1e-300
+    write_covariates_csv(root / "x1_off.csv", 0.999 * inst.covariates[0][:5])
+    for method in ("stefa", "vanilla"):
+        with pytest.warns(RuntimeWarning, match="5 of 5 new rows have no "
+                                                "training row within "
+                                                "bandwidth 1e-300"):
+            code = main(["predict", "--fit", str(root / "fit_auto"),
+                         "--method", method, "--kernel", "epanechnikov",
+                         "--bandwidth", "1e-300",
+                         "--new-covariates", str(root / "x1_off.csv"),
+                         "--out", str(root / f"pred_far_{method}")])
+        assert code == 0
+    capsys.readouterr()
+
+
 def test_predict_vanilla_and_errors(workdir, capsys):
     root, _ = workdir
     out = root / "pred_v"

@@ -59,6 +59,17 @@ def test_vanishing_bandwidth_is_the_nearest_row_without_fallback():
             assert np.array_equal(wm.W, nearest)
 
 
+def test_epanechnikov_weights_are_the_clipped_parabola():
+    rng = np.random.default_rng(7)
+    Xt = rng.uniform(size=(30, 2))
+    Xn = rng.uniform(size=(9, 2))
+    k = np.maximum(0.0, 1.0 - (cdist(Xn, Xt) / 0.3) ** 2)
+    wm = kernel_weights(Xn, Xt, KernelSpec(family="epanechnikov",
+                                           bandwidth=0.3))
+    assert wm.fallback_rows == []
+    assert np.array_equal(wm.W, k / k.sum(axis=1, keepdims=True))
+
+
 def test_huge_bandwidth_approaches_uniform():
     rng = np.random.default_rng(2)
     Xt = rng.uniform(size=(15, 2))
@@ -167,6 +178,26 @@ def test_vanilla_predictions_are_convex_combinations():
     hi = recon.max(axis=0, keepdims=True)
     assert np.all(pred >= lo - 1e-10)
     assert np.all(pred <= hi + 1e-10)
+
+
+def test_predictors_warn_when_rows_fall_back():
+    inst, designs, fit = fitted_instance(seed=6)
+    href = hooi(inst.observed, (2, 2, 2))
+    Xn = np.random.default_rng(13).uniform(size=(3, 2))
+    spec = KernelSpec(family="epanechnikov", bandwidth=1e-300)
+    nearest = np.argmin(cdist(Xn, inst.covariates[0]), axis=1)
+    with pytest.warns(RuntimeWarning, match="3 of 3 new rows have no "
+                                            "training row within"):
+        pred = predict_vanilla(href, inst.covariates[0], Xn, spec)
+    assert np.array_equal(pred, href.reconstruct()[nearest])
+    with pytest.warns(RuntimeWarning, match="3 of 3 new rows"):
+        predict_stefa(fit, designs, Xn, spec)
+    # a vanishing Gaussian bandwidth is the nearest-row limit, not a fallback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = predict_vanilla(href, inst.covariates[0], Xn,
+                               KernelSpec(bandwidth=1e-300))
+    assert np.array_equal(pred, href.reconstruct()[nearest])
 
 
 def test_vanilla_row_count_mismatch():
