@@ -292,8 +292,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "simulate" and args.seed is None:
-        args.seed = int.from_bytes(os.urandom(4), "little")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .estimator import EstimationError, StefaFit
 from .sieve import eval_basis
@@ -57,8 +56,9 @@ def _resolve_bandwidth(X_train: np.ndarray, spec: KernelSpec) -> float:
         return float(spec.bandwidth)
     if X_train.shape[0] < 2:
         return 1.0
-    d = cdist(X_train, X_train)
-    h = float(np.median(d[np.triu_indices_from(d, k=1)]))
+    from scipy.spatial.distance import pdist
+    # the upper triangle of the distance matrix, row by row
+    h = float(np.median(pdist(X_train)))
     return h if h > 0 else 1.0
 
 
@@ -77,6 +77,8 @@ def kernel_weights(X_new: np.ndarray, X_train: np.ndarray,
     if X_new.shape[1] != X_train.shape[1]:
         raise ValueError(f"covariate dimension mismatch: {X_new.shape[1]} vs "
                          f"{X_train.shape[1]}")
+    # scipy is imported on first use, so fits and simulations never load it
+    from scipy.spatial.distance import cdist
     h = _resolve_bandwidth(X_train, spec)
     d = cdist(X_new, X_train)
     if spec.family == "gaussian":

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.interpolate import BSpline
 
 __all__ = [
     "BasisSpec",
@@ -92,7 +91,9 @@ def _univariate_block(u: np.ndarray, spec: BasisSpec) -> np.ndarray:
     if spec.family == "legendre":
         cols = [legendre_eval(j, u) for j in range(1, spec.degree + 1)]
         return np.column_stack(cols)
-    # cubic B-splines with uniform interior knots on [-1, 1]
+    # cubic B-splines with uniform interior knots on [-1, 1]; scipy is
+    # imported here, on first use, so Legendre sieves never load it
+    from scipy.interpolate import BSpline
     k = min(3, spec.degree - 1)
     n_interior = spec.degree - k - 1
     interior = np.linspace(-1.0, 1.0, n_interior + 2)[1:-1]

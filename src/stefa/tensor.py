@@ -20,11 +20,13 @@ more than 2**18 values is split into contiguous chunks, one per started 2**18
 values and at most one per CPU this process may run on, each handled by a
 worker process started with ``fork``.  Smaller tensors start no process, and
 where ``fork`` or ``os.sched_getaffinity`` is missing everything runs in this
-process.  A writing worker formats its chunk 2**13 values at a time, the
-first straight into the destination and each other into a part file beside
-it, and this process appends the parts in order, so no process holds the
-text of the file.  The parsed array and the written file are identical for
-any number of chunks.
+process.  A reading worker reads, decodes and parses its own byte range of
+the file, cut at ASCII whitespace by this process, which reads only the
+header and a few bytes at each cut.  A writing worker formats its chunk
+2**13 values at a time, the first straight into the destination and each
+other into a part file beside it, and this process appends the parts in
+order.  So no process holds the text of the file.  The parsed array and the
+written file are identical for any number of chunks.
 """
 
 from __future__ import annotations
@@ -57,9 +59,15 @@ __all__ = [
 _CHUNK_VALUES = 1 << 18
 # values formatted at a time: about 0.2 MB of text and 0.5 MB of strings
 _FORMAT_VALUES = 1 << 13
+# bytes read at a time for a file's header and for each cut between chunks;
+# the header must end within the first of them
+_SCAN_BYTES = 1 << 16
 # one whitespace-delimited token (``\s`` is what ``str.split`` splits on)
 _TOKEN = re.compile(r"\s*(\S+)")
-_SPACE = re.compile(r"\s")
+# an ASCII whitespace byte, which never sits inside a UTF-8 sequence, and
+# one followed by the last token of the bytes searched
+_SPACE_BYTE = re.compile(rb"\s")
+_LAST_SPACE_BYTE = re.compile(rb"\s\S*\Z")
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:
@@ -242,10 +250,6 @@ def _run_inherited(index: int):
     return func(chunks[index])
 
 
-def _parse_values(text: str) -> np.ndarray:
-    return np.array(text.split(), dtype=float)
-
-
 def _format_values(values: np.ndarray) -> str:
     """Lines of 8 ``repr``s; the last line may be shorter."""
     items = list(map(repr, values.tolist()))
@@ -274,30 +278,65 @@ def _read_header(text: str, path) -> tuple[tuple[int, ...], int]:
     return dims, token.end()
 
 
+def _next_space(fh, pos: int) -> int:
+    """Offset of the first ASCII whitespace byte at or after ``pos`` in the
+    binary file ``fh``, or the file's size when there is none."""
+    fh.seek(pos)
+    while block := fh.read(_SCAN_BYTES):
+        space = _SPACE_BYTE.search(block)
+        if space is not None:
+            return pos + space.start()
+        pos += len(block)
+    return pos
+
+
+def _parse_range(chunk) -> np.ndarray:
+    """Parse the values in bytes ``start:stop`` of the file at ``path``, where
+    ``chunk`` is ``(path, start, stop)``."""
+    path, start, stop = chunk
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte "
+                         f"{start + exc.start}") from None
+    del data
+    return np.array(text.split(), dtype=float)
+
+
 def read_tns(path) -> np.ndarray:
-    """Read the whitespace tensor text format.
+    """Read the whitespace tensor text format, UTF-8 encoded.
 
     Line 1: order M.  Line 2: the M extents.  Then prod(dims) values in
-    canonical (C, last-index-fastest) order.  The value text is cut at
-    whitespace into n = min(CPUs this process may run on, ceil(values /
-    2**18)) chunks and parsed in n forked worker processes (in this process
-    when n == 1, and n is 1 where ``fork`` is not a start method).  The array
-    is bit-identical for any n.
+    canonical (C, last-index-fastest) order.  The header is parsed from the
+    file's first 64 KiB, in which it must end.  The value bytes are cut at
+    ASCII whitespace into n = min(CPUs this process may run on, ceil(values
+    / 2**18)) byte ranges, and each range is read, decoded and parsed in one
+    of n forked worker processes (in this process when n == 1, and n is 1
+    where ``fork`` is not a start method), so this process never holds the
+    file's text.  The array is bit-identical for any n.
     """
-    with open(path) as fh:
-        text = fh.read()
-    dims, start = _read_header(text, path)
-    count = int(np.prod(dims, dtype=np.int64))
-    n = _workers(count)
-    cuts = [start]
-    for i in range(1, n):
-        space = _SPACE.search(text, max(start + (len(text) - start) * i // n,
-                                        cuts[-1]))
-        cuts.append(len(text) if space is None else space.start())
-    cuts.append(len(text))
-    chunks = [text[a:b] for a, b in zip(cuts, cuts[1:])]
-    del text
-    values = np.concatenate(_map_chunks(_parse_values, chunks))
+    with open(path, "rb") as fh:
+        head = fh.read(_SCAN_BYTES)
+        size = os.fstat(fh.fileno()).st_size
+        if len(head) < size:
+            # keep whole tokens: the last one may go on past the prefix
+            last = _LAST_SPACE_BYTE.search(head)
+            head = head[:last.start() if last else 0]
+        text = head.decode("utf-8")
+        dims, start = _read_header(text, path)
+        start = len(text[:start].encode("utf-8"))
+        count = int(np.prod(dims, dtype=np.int64))
+        n = _workers(count)
+        cuts = [start]
+        for i in range(1, n):
+            cuts.append(_next_space(fh, max(start + (size - start) * i // n,
+                                            cuts[-1])))
+        cuts.append(size)
+    ranges = [(path, a, b) for a, b in zip(cuts, cuts[1:])]
+    values = np.concatenate(_map_chunks(_parse_range, ranges))
     if values.size != count:
         raise ValueError(f"{path}: expected {count} values, found {values.size}")
     return values.reshape(dims, order="C")

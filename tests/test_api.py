@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,26 @@ def test_submodule_exports_resolve_once(module):
     assert not missing, f"stefa.{module}.__all__ lists missing {missing}"
     duplicates = sorted({name for name in exported if exported.count(name) > 1})
     assert not duplicates, f"stefa.{module}.__all__ repeats {duplicates}"
+
+
+def test_numpy_only_paths_import_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by other tests
+    code = """
+import sys
+import stefa, stefa.cli
+from stefa import BasisSpec, build_design, fit_stefa
+from stefa.simlab import SimConfig, generate
+inst = generate(SimConfig(dims=(20, 20, 20), rank=2, alpha=1.0, j_star=3, seed=1))
+designs = [build_design(x, BasisSpec(degree=3)) for x in inst.covariates]
+fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+phi = build_design(inst.covariates[0], BasisSpec(family="bspline", degree=5)).phi
+assert phi.shape == (20, 1 + 5 * inst.covariates[0].shape[1])
+assert "scipy.interpolate" in sys.modules
+"""
+    src = str(Path(stefa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

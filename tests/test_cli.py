@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import stefa
 from stefa.cli import main
 from stefa.sieve import write_covariates_csv
 from stefa.simlab import SimConfig, generate
@@ -503,3 +507,26 @@ def test_predict_on_non_finite_core_is_usage_error(workdir, fuzz_fit_dir,
                           "--out", str(tmp_path / "pred")])
     assert code == 2
     assert "core.tns has non-finite values" in err and "Traceback" not in err
+
+
+def _run_module(args, cwd):
+    """``python -m stefa ARGS`` in a fresh interpreter on this checkout."""
+    src = str(Path(stefa.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "stefa", *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_python_m_stefa_prints_the_version(tmp_path):
+    result = _run_module(["--version"], tmp_path)
+    assert result.returncode == 0
+    assert result.stdout.strip() == stefa.__version__
+
+
+def test_python_m_stefa_returns_the_exit_code(tmp_path):
+    result = _run_module(["fit", "--tensor", str(tmp_path / "missing.tns"),
+                          "--ranks", "1,1,1", "--out", str(tmp_path / "fit")],
+                         tmp_path)
+    assert result.returncode == 2
+    assert "missing.tns" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -103,7 +103,7 @@ def test_auto_bandwidth_is_median_pairwise_distance():
     Xt = rng.uniform(size=(12, 2))
     wm = kernel_weights(Xt[:3], Xt)
     from scipy.spatial.distance import pdist
-    assert np.isclose(wm.bandwidth, np.median(pdist(Xt)), atol=1e-12)
+    assert wm.bandwidth == np.median(pdist(Xt))
 
 
 def test_epanechnikov_fallback_rows():

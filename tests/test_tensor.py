@@ -357,3 +357,74 @@ def test_tns_header_and_count_checks(tmp_path):
     path.write_text("2\n2 0\n")
     with pytest.raises(ValueError):
         read_tns(path)
+
+
+def test_tns_two_chunk_read_of_uneven_whitespace_is_the_one_chunk_parse(
+        tmp_path, two_workers, monkeypatch):
+    # tabs, CRLF, runs of spaces and blank lines between values, so the cut
+    # between the chunks may fall on any kind of separator
+    t = extreme_tensor()
+    serial_write_tns(tmp_path / "ref.tns", t)
+    tokens = (tmp_path / "ref.tns").read_text().split()
+    seps = ["\t", "\r\n", "   ", " \t ", "\r\n\r\n", " "]
+    text = "".join(tok + seps[i % len(seps)] for i, tok in enumerate(tokens))
+    path = tmp_path / "uneven.tns"
+    path.write_bytes(text.encode())
+    two = read_tns(path)
+    assert two_workers == [2]
+    monkeypatch.setattr(tensor_module.os, "sched_getaffinity",
+                        lambda pid: {0}, raising=False)
+    one = read_tns(path)
+    assert two_workers == [2, 1]
+    assert two.shape == one.shape == t.shape
+    assert np.array_equal(two.view(np.int64), one.view(np.int64))
+    ref = serial_parse(tmp_path / "ref.tns")
+    assert np.array_equal(two.reshape(-1).view(np.int64), ref.view(np.int64))
+
+
+def test_tns_read_holds_no_text_in_this_process(tmp_path, two_workers):
+    import tracemalloc
+    t = extreme_tensor()
+    serial_write_tns(tmp_path / "t.tns", t)
+    tracemalloc.start()
+    try:
+        back = read_tns(tmp_path / "t.tns")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert two_workers == [2]
+    # the file holds about 6 MB of text; the parsed halves and their
+    # concatenation are twice the array's 2.1 MB
+    assert peak < 3 * t.nbytes
+    assert np.array_equal(back, t, equal_nan=True)
+
+
+def test_tns_undecodable_bytes_in_second_chunk(tmp_path, two_workers, capsys):
+    path = tmp_path / "bad.tns"
+    serial_write_tns(path, extreme_tensor())
+    data = path.read_bytes()
+    cut = data.rindex(b" ")
+    path.write_bytes(data[:cut] + b" \xff" + data[cut:])
+    with pytest.raises(ValueError, match=f"not UTF-8 text at byte {cut + 1}"):
+        read_tns(path)
+    assert two_workers == [2]
+    assert main(["fit", "--tensor", str(path), "--ranks", "1,1,1",
+                 "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
+def test_tns_header_within_the_scanned_prefix(tmp_path):
+    # the header ends just inside the first 2**16 bytes, and the first value
+    # straddles their end
+    count = 123456
+    header = f"1{' ' * (2 ** 16 - 10)}\n{count}\n"
+    assert len(header) == 2 ** 16 - 1
+    path = tmp_path / "t.tns"
+    path.write_text(header + "0.5\n" * count)
+    back = read_tns(path)
+    assert back.shape == (count,) and np.all(back == 0.5)
+    # an extent that straddles the end of those bytes is not read
+    path.write_text(f"1{' ' * (2 ** 16 - 4)}\n{count}\n" + "0.5\n" * count)
+    with pytest.raises(ValueError, match="malformed header"):
+        read_tns(path)
