@@ -1,9 +1,11 @@
 """Command-line front end: fit, ranks, predict, simulate.
 
-Exit codes: 0 success, 2 argument/usage errors, 3 numeric failures raised by
-the estimator.  Modes are 1-based on the command line.  Every command writes
-a run manifest (resolved options, input digests, seed, timings, version)
-into its output directory.
+Exit codes: 0 success, 2 bad arguments or unreadable inputs (any
+``ValueError`` or ``OSError``, printed as ``error: message``), 3 numeric
+failures raised by the estimator.  Modes are 1-based on the command line.
+Every command writes a run manifest (resolved options, input digests, seed,
+timings, version) into its output directory; the seed is null but for
+``simulate``.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ from .estimator import (EstimationError, estimate_ranks, fit_stefa, load_fit,
 from .prediction import KernelSpec, predict_stefa, predict_vanilla
 from .sieve import BasisSpec, build_design, read_covariates_csv
 from .tensor import read_tns, write_tns
-from .simlab import PROTOCOLS, run_experiment
+from .simlab import run_experiment
 
 __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-class UsageError(Exception):
-    """Bad arguments or unreadable inputs (exit code 2)."""
 
 
 def _sha256(path) -> str:
@@ -58,23 +56,14 @@ def _write_manifest(out_dir, command, options, inputs, seed, timings) -> None:
         json.dump(manifest, fh, indent=2)
 
 
-def _load_tensor(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise UsageError(f"tensor file not found: {path}")
-    try:
-        return read_tns(path)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _parse_basis(text) -> BasisSpec:
     parts = text.split(":")
     family = parts[0]
     try:
         degree = int(parts[1]) if len(parts) > 1 else 4
         return BasisSpec(family=family, degree=degree)
-    except (ValueError, IndexError) as exc:
-        raise UsageError(f"bad --basis {text!r}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"bad --basis {text!r}: {exc}") from None
 
 
 def _parse_covariate_args(args_list, order) -> list:
@@ -85,12 +74,10 @@ def _parse_covariate_args(args_list, order) -> list:
         try:
             mode = int(mode_s)
         except ValueError:
-            raise UsageError(f"bad --covariates {item!r}: expected m:file.csv") from None
+            raise ValueError(f"bad --covariates {item!r}: expected m:file.csv") from None
         if not 1 <= mode <= order:
-            raise UsageError(f"bad --covariates {item!r}: mode {mode} not in "
+            raise ValueError(f"bad --covariates {item!r}: mode {mode} not in "
                              f"[1, {order}]")
-        if not os.path.exists(path):
-            raise UsageError(f"covariate file not found: {path}")
         paths[mode - 1] = path
     return paths
 
@@ -103,7 +90,7 @@ def _build_designs(cov_paths, spec, dims):
             continue
         X, _ = read_covariates_csv(path)
         if X.shape[0] != dims[m]:
-            raise UsageError(f"covariates for mode {m + 1} have {X.shape[0]} "
+            raise ValueError(f"covariates for mode {m + 1} have {X.shape[0]} "
                              f"rows, tensor extent is {dims[m]}")
         designs.append(build_design(X, spec))
     return designs
@@ -115,12 +102,12 @@ def _parse_ranks(text, order):
     try:
         ranks = tuple(int(r) for r in text.split(","))
     except ValueError:
-        raise UsageError(f"bad --ranks {text!r}") from None
+        raise ValueError(f"bad --ranks {text!r}") from None
     if len(ranks) != order:
-        raise UsageError(f"--ranks needs {order} values, got {len(ranks)}")
+        raise ValueError(f"--ranks needs {order} values, got {len(ranks)}")
     for m, r in enumerate(ranks):
         if r < 1:
-            raise UsageError(f"rank for mode {m + 1} must be >= 1, got {r}")
+            raise ValueError(f"rank for mode {m + 1} must be >= 1, got {r}")
     return ranks
 
 
@@ -129,7 +116,7 @@ def _parse_ranks(text, order):
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    Y = _load_tensor(args.tensor)
+    Y = read_tns(args.tensor)
     cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
     spec = _parse_basis(args.basis)
     designs = _build_designs(cov_paths, spec, Y.shape)
@@ -139,7 +126,7 @@ def cmd_fit(args) -> int:
     save_fit(fit, designs, args.out)
     inputs = [args.tensor] + [p for p in cov_paths if p]
     timings = dict(fit.diagnostics["timings"], total=time.perf_counter() - t0)
-    _write_manifest(args.out, "fit", _options_dict(args), inputs, args.seed,
+    _write_manifest(args.out, "fit", _options_dict(args), inputs, None,
                     timings)
     print(f"fit written to {args.out}; ranks {','.join(map(str, fit.ranks))}; "
           f"{fit.iterations_used} iterations"
@@ -149,7 +136,7 @@ def cmd_fit(args) -> int:
 
 def cmd_ranks(args) -> int:
     t0 = time.perf_counter()
-    Y = _load_tensor(args.tensor)
+    Y = read_tns(args.tensor)
     cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
     spec = _parse_basis(args.basis)
     designs = _build_designs(cov_paths, spec, Y.shape)
@@ -163,37 +150,30 @@ def cmd_ranks(args) -> int:
     if args.out:
         inputs = [args.tensor] + [p for p in cov_paths if p]
         _write_manifest(args.out, "ranks", _options_dict(args), inputs,
-                        args.seed, {"total": time.perf_counter() - t0})
+                        None, {"total": time.perf_counter() - t0})
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     t0 = time.perf_counter()
-    if not os.path.isdir(args.fit):
-        raise UsageError(f"fit directory not found: {args.fit}")
     fit, designs = load_fit(args.fit)
     if not 1 <= args.mode <= fit.order:
-        raise UsageError(f"--mode {args.mode} not in [1, {fit.order}]")
+        raise ValueError(f"--mode {args.mode} not in [1, {fit.order}]")
+    X_new, _ = read_covariates_csv(args.new_covariates)
     try:
-        X_new, _ = read_covariates_csv(args.new_covariates)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read new covariates: {exc}") from None
-    if args.bandwidth == "auto":
-        spec = KernelSpec(family=args.kernel, bandwidth="auto")
-    else:
-        try:
-            spec = KernelSpec(family=args.kernel, bandwidth=float(args.bandwidth))
-        except ValueError as exc:
-            raise UsageError(f"bad --bandwidth {args.bandwidth!r}: {exc}") from None
+        bandwidth = "auto" if args.bandwidth == "auto" else float(args.bandwidth)
+        spec = KernelSpec(family=args.kernel, bandwidth=bandwidth)
+    except ValueError as exc:
+        raise ValueError(f"bad --bandwidth {args.bandwidth!r}: {exc}") from None
     mode = args.mode - 1
     if args.method == "stefa":
         pred = predict_stefa(fit, designs, X_new, spec, mode=mode)
+    elif designs[mode] is None:
+        raise ValueError("vanilla prediction needs training covariates "
+                         f"on mode {args.mode}")
     else:
-        d = designs[mode] if designs else None
-        if d is None:
-            raise UsageError("vanilla prediction needs training covariates "
-                             f"on mode {args.mode}")
-        pred = predict_vanilla(fit, d.covariates, X_new, spec, mode=mode)
+        pred = predict_vanilla(fit, designs[mode].covariates, X_new, spec,
+                               mode=mode)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "prediction.tns")
     write_tns(out_path, pred)
@@ -206,19 +186,11 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    if args.protocol not in PROTOCOLS:
-        raise UsageError(f"unknown protocol {args.protocol!r}; choose from "
-                         f"{', '.join(sorted(PROTOCOLS))}")
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
     if args.threads != 1:
-        raise UsageError(f"--threads must be 1, got {args.threads}: "
+        raise ValueError(f"--threads must be 1, got {args.threads}: "
                          "replications run one after another")
-    try:
-        run_experiment(args.protocol, reps=args.reps, seed=args.seed,
-                       out_dir=args.out, cells=args.cells)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    run_experiment(args.protocol, reps=args.reps, seed=args.seed,
+                   out_dir=args.out, cells=args.cells)
     _write_manifest(args.out, "simulate", _options_dict(args), [], args.seed,
                     {"total": time.perf_counter() - t0})
     print(f"results written to {os.path.join(args.out, 'results.csv')}")
@@ -248,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--basis", default="legendre:4",
                        help="sieve basis as family:degree")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--max-iter", type=int, default=50)
     p_fit.add_argument("--tol", type=float, default=1e-8)
     p_fit.set_defaults(func=cmd_fit)
@@ -259,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ranks.add_argument("--basis", default="legendre:4")
     p_ranks.add_argument("--kmax", type=int, default=None)
     p_ranks.add_argument("--out", default=None)
-    p_ranks.add_argument("--seed", type=int, default=None)
     p_ranks.set_defaults(func=cmd_ranks)
 
     p_pred = sub.add_parser("predict", help="predict slices for new covariates")
@@ -294,9 +264,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # LinAlgError is a ValueError, but it is a numeric failure, not bad usage
     except (EstimationError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

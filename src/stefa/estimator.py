@@ -410,11 +410,13 @@ def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8,
     their extent, whatever ``ranks`` holds for them, and their factor is
     ``sqrt(I_m)`` times the identity.  The ranks of the other modes must be
     valid Tucker ranks, identity modes counting at their extent, and fit
-    their sieve spans (:class:`RankExceedsSpanError` otherwise).
+    their sieve spans (:class:`RankExceedsSpanError` otherwise); ``max_iter``
+    must be an integer >= 1 and ``tol`` finite and >= 0.
 
     Returns ``(factors, trace, converged)`` where ``trace`` holds the maximal
     per-sweep subspace change.
     """
+    _check_iteration_controls(max_iter, tol)
     stats, designs = _statistics(Y, designs, identity_modes)
     ranks = _check_ranks(stats.shape, designs, ranks, identity_modes)
     scales = np.sqrt(np.asarray(stats.shape, dtype=float))
@@ -708,33 +710,16 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
 # ---------------------------------------------------------------------------
 # fit persistence (used by the CLI)
 
-def _write_matrix_csv(path, mat, prefix="c"):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    header = ",".join(f"{prefix}{j + 1}" for j in range(mat.shape[1]))
-    np.savetxt(path, mat, delimiter=",", header=header, comments="")
+def _matrix_names(prefix, k) -> list[str]:
+    return [f"{prefix}{j + 1}" for j in range(k)]
 
 
 def _read_matrix_csv(path, prefix):
-    """Read a file of :func:`_write_matrix_csv`: the header ``{prefix}1,
-    ..., {prefix}k``, then at least one row of k finite numbers."""
-    name = os.path.basename(path)
-    with open(path) as fh:
-        names = fh.readline().rstrip("\r\n").split(",")
-        rows = [line for line in fh if line.strip()]
-    if names != [f"{prefix}{j + 1}" for j in range(len(names))]:
-        raise ValueError(f"{name}: the header is not {prefix}1,{prefix}2,...")
-    if not rows:
-        raise ValueError(f"{name}: no data rows")
-    try:
-        # ndmin=2 keeps a one-column file (a rank-1 mode) a column
-        mat = np.loadtxt(rows, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-    if mat.shape[1] != len(names):
-        raise ValueError(f"{name}: rows of {mat.shape[1]} values under "
-                         f"{len(names)} column names")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name}: non-finite value")
+    """Read a matrix file of :func:`save_fit`: a numeric CSV under the header
+    ``{prefix}1, ..., {prefix}k``."""
+    mat, names = read_covariates_csv(path)
+    if names != _matrix_names(prefix, len(names)):
+        raise ValueError(f"{path}: the header is not {prefix}1,{prefix}2,...")
     return mat
 
 
@@ -791,15 +776,14 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
     write_tns(os.path.join(out_dir, "core.tns"), fit.core)
     basis = {}
     for m in range(fit.order):
-        _write_matrix_csv(os.path.join(out_dir, f"g_loadings_mode{m + 1}.csv"),
-                          fit.g_loadings[m], "g")
-        _write_matrix_csv(os.path.join(out_dir, f"a_loadings_mode{m + 1}.csv"),
-                          fit.a_loadings[m], "a")
-        _write_matrix_csv(os.path.join(out_dir, f"gamma_mode{m + 1}.csv"),
-                          fit.gamma[m], "gamma")
-        if fit.sieve_coeffs[m] is not None:
-            _write_matrix_csv(os.path.join(out_dir, f"sieve_coeffs_mode{m + 1}.csv"),
-                              fit.sieve_coeffs[m], "b")
+        for name, mat, prefix in (("g_loadings", fit.g_loadings[m], "g"),
+                                  ("a_loadings", fit.a_loadings[m], "a"),
+                                  ("gamma", fit.gamma[m], "gamma"),
+                                  ("sieve_coeffs", fit.sieve_coeffs[m], "b")):
+            if mat is not None:
+                write_covariates_csv(
+                    os.path.join(out_dir, f"{name}_mode{m + 1}.csv"), mat,
+                    _matrix_names(prefix, mat.shape[1]))
         d = designs[m] if designs else None
         if d is not None:
             write_covariates_csv(
@@ -825,16 +809,20 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
 def load_fit(fit_dir):
     """Read a fit directory back into ``(StefaFit, designs)``.
 
-    Raises ``ValueError`` when ``report.json`` lacks a required key, holds a
-    value of the wrong type or a ``format_version`` other than 1 (a missing
-    one reads as 1); when a matrix file lacks the header ``save_fit``
-    writes, has no data rows, rows of unequal length or a non-finite value,
-    or the core a non-finite value; or when the core's extents disagree with
-    the ranks, the loading shapes or the sieve coefficients' (basis size by
-    core extent), or the covariate rows with the loading rows.
+    Raises ``ValueError`` when ``report.json`` is not JSON, nests too deeply
+    to parse, lacks a required key, holds a value of the wrong type or a
+    ``format_version`` other than 1 (a missing one reads as 1); when a matrix
+    file lacks the header ``save_fit`` writes or is not a numeric CSV that
+    :func:`~stefa.sieve.read_covariates_csv` reads, or the core has a
+    non-finite value; or when the core's extents disagree with the ranks,
+    the loading shapes or the sieve coefficients' (basis size by core
+    extent), or the covariate rows with the loading rows.
     """
     with open(os.path.join(fit_dir, "report.json")) as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except RecursionError:
+            raise ValueError("report.json nests too deeply to parse") from None
     _require_keys(report, _REPORT_KEYS, "report.json")
     version = report.get("format_version", _FORMAT_VERSION)
     if type(version) is not int or version != _FORMAT_VERSION:

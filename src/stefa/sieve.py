@@ -158,11 +158,14 @@ def eval_loading_function(spec: BasisSpec, B: np.ndarray, x: np.ndarray,
 
 
 def read_covariates_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Read a covariate CSV: one header row of names, then rows of finite
-    numbers, one per name."""
+    """Read a numeric CSV: one header row of names, then rows of finite
+    numbers, one per name.  A malformed file raises ``ValueError`` naming
+    ``path``."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
     names = [c.strip() for c in rows[0]]

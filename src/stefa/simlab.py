@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .estimator import (estimate_ranks, fit_stefa, hooi, subspace_distance)
-from .sieve import BasisSpec, build_design, eval_basis, projector_apply
+from .sieve import (BasisSpec, build_design, eval_basis, eval_loading_function,
+                    projector_apply)
 from .tensor import matricize, multi_mode_product, top_left_singular_vectors
 
 __all__ = [
@@ -447,7 +448,7 @@ def _fit_metrics(inst: SimInstance, fit_degree: int, methods) -> dict:
     scale = np.sqrt(inst.config.dims[0])
     coeffs = fit.sieve_coeffs[0]
     D = inst.config.n_covariates
-    hats = [lambda x, r=r: eval_basis(np.atleast_2d(x), spec) @ coeffs[:, r] / scale
+    hats = [lambda x, r=r: eval_loading_function(spec, coeffs[:, r], x) / scale
             for r in range(ranks[0])]
     for r in range(ranks[0]):
         true_r = lambda x, r=r: inst.loading_functions[0](x)[:, r]

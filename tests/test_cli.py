@@ -258,6 +258,57 @@ def test_predict_without_covariates_is_numeric_error(workdir, capsys):
     assert "requires covariate mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["fit", "predict", "fit_dir"])
+def test_covariate_field_over_the_csv_limit_is_usage_error(workdir,
+                                                           fuzz_fit_dir,
+                                                           tmp_path, where):
+    # one field longer than the csv module's 131072-character limit
+    root, _ = workdir
+    fit_dir = tmp_path / "fit"
+    shutil.copytree(fuzz_fit_dir, fit_dir)
+    big = (fit_dir / "covariates_mode1.csv" if where == "fit_dir"
+           else tmp_path / "big.csv")
+    big.write_text("x1\n0." + "1" * 140_000 + "\n")
+    if where == "fit":
+        argv = ["fit", "--tensor", str(root / "y.tns"),
+                "--covariates", f"1:{big}", "--out", str(tmp_path / "out")]
+    else:
+        new = big if where == "predict" else root / "x1.csv"
+        argv = ["predict", "--fit", str(fit_dir), "--new-covariates",
+                str(new), "--out", str(tmp_path / "out")]
+    code, err = _run_cli(argv)
+    assert code == 2, (code, err)
+    assert "field larger than field limit" in err and str(big) in err
+    assert "Traceback" not in err
+
+
+def test_predict_on_deeply_nested_report_is_usage_error(workdir, fuzz_fit_dir,
+                                                        tmp_path):
+    root, _ = workdir
+    fit_dir = tmp_path / "fit"
+    shutil.copytree(fuzz_fit_dir, fit_dir)
+    (fit_dir / "report.json").write_text("[" * 200000)
+    code, err = _run_cli(["predict", "--fit", str(fit_dir),
+                          "--new-covariates", str(root / "x1.csv"),
+                          "--out", str(tmp_path / "pred")])
+    assert code == 2, (code, err)
+    assert "report.json nests too deeply" in err and "Traceback" not in err
+
+
+def test_only_simulate_takes_a_seed(workdir, tmp_path, capsys):
+    root, _ = workdir
+    fit = ["fit", "--tensor", str(root / "y.tns"), "--ranks", "2,2,2"]
+    ranks = ["ranks", "--tensor", str(root / "y.tns")]
+    assert main([*fit, "--seed", "3", "--out", str(tmp_path / "a")]) == 2
+    assert main([*ranks, "--seed", "3", "--out", str(tmp_path / "b")]) == 2
+    assert main([*fit, "--out", str(tmp_path / "a")]) == 0
+    assert main([*ranks, "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for out in ("a", "b"):
+        manifest = json.loads((tmp_path / out / "run_manifest.json").read_text())
+        assert manifest["seed"] is None and "seed" not in manifest["options"]
+
+
 def test_simulate_argument_errors(tmp_path, capsys):
     assert main(["simulate", "--protocol", "table99",
                  "--out", str(tmp_path)]) == 2

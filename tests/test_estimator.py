@@ -89,6 +89,15 @@ def test_hooi_rejects_bad_input():
             hooi(y, (2, 2, 2), **bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("tol", np.nan),
+    ("tol", -1.0), ("tol", np.inf)])
+def test_ipsvd_iterate_rejects_bad_iteration_controls(key, value):
+    inst, designs = inspan_instance(dims=(12, 12, 12), seed=21)
+    with pytest.raises(ValueError, match=key):
+        ipsvd_iterate(inst.observed, designs, (2, 2, 2), **{key: value})
+
+
 def test_tucker_ranks_are_checked_by_hooi_and_fit_stefa():
     y = np.random.default_rng(16).standard_normal((5, 5, 5))
     for fit in (lambda r: hooi(y, r), lambda r: fit_stefa(y, None, ranks=r)):
@@ -639,6 +648,25 @@ def test_save_load_roundtrip(tmp_path):
             assert np.allclose(back.sieve_coeffs[m], fit.sieve_coeffs[m],
                                atol=1e-10)
             assert np.allclose(back_designs[m].phi, designs[m].phi, atol=1e-10)
+
+
+def test_load_fit_reads_matrix_files_in_the_savetxt_layout(tmp_path):
+    # fit directories were once written by np.savetxt with "%.18e" values
+    inst, designs = inspan_instance(seed=14)
+    fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
+    out = tmp_path / "fitdir"
+    save_fit(fit, designs, out)
+    files = {"g_loadings": "g", "a_loadings": "a", "gamma": "gamma",
+             "sieve_coeffs": "b"}
+    for name, prefix in files.items():
+        for m, mat in enumerate(getattr(fit, name)):
+            header = ",".join(f"{prefix}{j + 1}" for j in range(mat.shape[1]))
+            np.savetxt(out / f"{name}_mode{m + 1}.csv", mat, delimiter=",",
+                       header=header, comments="")
+    back, _ = load_fit(out)
+    for name in files:
+        for mat, mat_back in zip(getattr(fit, name), getattr(back, name)):
+            assert np.array_equal(mat_back, mat)
 
 
 def test_load_fit_rejects_missing_keys_and_inconsistent_shapes(tmp_path):
