@@ -715,10 +715,12 @@ def _matrix_names(prefix, k) -> list[str]:
 
 
 def _read_matrix_csv(path, prefix):
-    """Read a matrix file of :func:`save_fit`: a numeric CSV under the header
-    ``{prefix}1, ..., {prefix}k``."""
+    """Read a matrix file of :func:`save_fit`: a numeric CSV whose first line
+    is exactly ``{prefix}1,...,{prefix}k``, without quotes or spaces."""
     mat, names = read_covariates_csv(path)
-    if names != _matrix_names(prefix, len(names)):
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n")
+    if header != ",".join(_matrix_names(prefix, len(names))):
         raise ValueError(f"{path}: the header is not {prefix}1,{prefix}2,...")
     return mat
 

@@ -174,9 +174,9 @@ def read_covariates_csv(path) -> tuple[np.ndarray, list[str]]:
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric covariate value ({exc})") from None
+        raise ValueError(f"{path}: non-numeric value ({exc})") from None
     if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite covariate value")
+        raise ValueError(f"{path}: non-finite value")
     return data, names
 
 

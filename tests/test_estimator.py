@@ -82,20 +82,18 @@ def test_hooi_rejects_bad_input():
         hooi(np.full((4, 4, 4), np.nan), (2, 2, 2))
     with pytest.raises(ValueError):
         hooi(np.zeros((4, 4, 4)), (5, 2, 2))
-    y = np.random.default_rng(3).standard_normal((4, 4, 4))
-    for bad in (dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5),
-                dict(tol=np.nan), dict(tol=-1.0), dict(tol=np.inf)):
-        with pytest.raises(ValueError, match="max_iter|tol"):
-            hooi(y, (2, 2, 2), **bad)
 
 
+@pytest.mark.parametrize("fit", [
+    hooi, lambda y, ranks, **controls: ipsvd_iterate(y, None, ranks, **controls)],
+    ids=["hooi", "ipsvd_iterate"])
 @pytest.mark.parametrize("key, value", [
     ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("tol", np.nan),
     ("tol", -1.0), ("tol", np.inf)])
-def test_ipsvd_iterate_rejects_bad_iteration_controls(key, value):
-    inst, designs = inspan_instance(dims=(12, 12, 12), seed=21)
+def test_iterations_reject_bad_controls(fit, key, value):
+    y = np.random.default_rng(3).standard_normal((4, 4, 4))
     with pytest.raises(ValueError, match=key):
-        ipsvd_iterate(inst.observed, designs, (2, 2, 2), **{key: value})
+        fit(y, (2, 2, 2), **{key: value})
 
 
 def test_tucker_ranks_are_checked_by_hooi_and_fit_stefa():
@@ -701,6 +699,14 @@ def test_load_fit_rejects_missing_keys_and_inconsistent_shapes(tmp_path):
         load_fit(out)
 
     a_path.write_text("\n".join(lines) + "\n")
+    g_path = out / "g_loadings_mode1.csv"
+    rows = g_path.read_text().split("\n", 1)[1]
+    for header in (" g1,g2", "g1 ,g2", '"g1",g2', "g1,g2\u3000"):
+        g_path.write_text(header + "\n" + rows)
+        with pytest.raises(ValueError, match="g_loadings_mode1.csv: the header"):
+            load_fit(out)
+
+    g_path.write_text("g1,g2\n" + rows)
     (out / "sieve_coeffs_mode2.csv").write_text("b1,b2\n0.5,0.25\n")
     with pytest.raises(ValueError, match=(rf"sieve_coeffs_mode2\.csv has shape "
                                           rf"\(1, 2\), not \({designs[1].n_basis}, 2\)")):

@@ -168,8 +168,8 @@ def test_covariates_csv_rejects_bad_files(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("x1,x2\n0.1,0.2\n0.3\n", "ragged rows"),
     ("x1,x2\n0.1\n0.3\n", "ragged rows"),
-    ("x1,x2\n0.1,nan\n", "non-finite covariate value"),
-    ("x1,x2\n0.1,0.2\n-inf,0.3\n", "non-finite covariate value")],
+    ("x1,x2\n0.1,nan\n", "non-finite value"),
+    ("x1,x2\n0.1,0.2\n-inf,0.3\n", "non-finite value")],
     ids=["one-short-row", "every-row-short", "nan", "inf"])
 def test_covariates_csv_names_ragged_and_non_finite_rows(tmp_path, text,
                                                          message):
