@@ -57,11 +57,11 @@ def _write_manifest(out_dir, command, options, inputs, seed, timings) -> None:
 
 
 def _parse_basis(text) -> BasisSpec:
-    parts = text.split(":")
-    family = parts[0]
+    family, *degree = text.split(":")
     try:
-        degree = int(parts[1]) if len(parts) > 1 else 4
-        return BasisSpec(family=family, degree=degree)
+        if len(degree) > 1:
+            raise ValueError("expected family or family:degree")
+        return BasisSpec(family=family, degree=int(degree[0]) if degree else 4)
     except ValueError as exc:
         raise ValueError(f"bad --basis {text!r}: {exc}") from None
 

@@ -179,18 +179,22 @@ def _check_design_shapes(Y, designs) -> None:
 
 def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
     """Per-mode ranks as ints, an identity mode's being its extent whatever
-    ``ranks`` holds for it.  At least one mode must not be an identity
+    integer ``ranks`` holds for it.  Each rank must be an int or a numpy
+    integer (not a bool), and at least one mode must not be an identity
     mode.  Every other rank must lie in [1, I_m], not
     exceed the product of the other ranks (the Tucker condition, identity
     modes counting at their extent) and, on a covariate mode, fit its sieve
     span."""
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(ranks)
     if len(ranks) != len(dims):
         raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
+    for m, r in enumerate(ranks):
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise ValueError(f"rank {r!r} for mode {m} is not an integer")
     for m in identity_modes:
         if designs[m] is not None:
             raise ValueError(f"mode {m} is both an identity mode and has covariates")
-    ranks = tuple(d if m in identity_modes else r
+    ranks = tuple(d if m in identity_modes else int(r)
                   for m, (r, d) in enumerate(zip(ranks, dims)))
     modes = [m for m in range(len(dims)) if m not in identity_modes]
     if not modes:
@@ -618,10 +622,6 @@ def _fit_diagnostics(shape, designs, core, factors, gammas, identity_modes):
 # ---------------------------------------------------------------------------
 # rank selection
 
-def _round_half_away(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
 def estimate_ranks(Y, designs=None, k_max: int | None = None,
                    identity_modes=(), return_profile: bool = False):
     """Noise-edge rank estimate per mode on the sieve-projected tensor.
@@ -677,14 +677,14 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
         p = compressed.size // n
 
         other = stats.size // shape[m]
-        cap = _round_half_away(min(shape[m], other) / 2.0)
+        cap = (min(shape[m], other) + 1) // 2
         if k_max is not None:
             cap = min(cap, int(k_max))
         structural = min(n, p)
         d = designs[m]
         if d is not None:
             structural = min(structural, d.rank)
-        cap = max(1, min(cap, structural - 1, lam.size - 1))
+        cap = max(1, min(cap, structural - 1))
 
         floor = 1e-12 * lam[0] if lam[0] > 0 else 1e-300
         if sigma2 is None:
@@ -725,12 +725,17 @@ def _read_matrix_csv(path, prefix):
     return mat
 
 
+def _of_type(v, kind) -> bool:
+    """``isinstance``, except that JSON's true and false are not numbers."""
+    return isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+
+
 def _is(kind):
-    return lambda v: isinstance(v, kind)
+    return lambda v: _of_type(v, kind)
 
 
 def _list_of(kind):
-    return lambda v: isinstance(v, list) and all(isinstance(x, kind) for x in v)
+    return lambda v: isinstance(v, list) and all(_of_type(x, kind) for x in v)
 
 
 # the layout of the fit directory that save_fit writes; a report.json without

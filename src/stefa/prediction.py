@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimator import EstimationError, StefaFit
 from .sieve import eval_basis
-from .tensor import mode_product
+from .tensor import mode_product, multi_mode_product
 
 __all__ = [
     "KernelSpec",
@@ -143,10 +143,8 @@ def predict_stefa(fit: StefaFit, designs, X_new: np.ndarray,
     # the other modes use the projected loadings: the regression-based full
     # loadings carry an unprojected noise component that inflates prediction
     # variance without adding signal along those modes
-    others = {m: fit.g_loadings[m] for m in range(fit.order) if m != mode}
-    base = fit.core
-    for m, a in sorted(others.items()):
-        base = mode_product(base, a, m)
+    base = multi_mode_product(fit.core, {m: fit.g_loadings[m]
+                                         for m in range(fit.order) if m != mode})
 
     b = fit.sieve_coeffs[mode]
     sieve_new = eval_basis(X_new, d.spec) @ b

@@ -158,14 +158,16 @@ def eval_loading_function(spec: BasisSpec, B: np.ndarray, x: np.ndarray,
 
 
 def read_covariates_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Read a numeric CSV: one header row of names, then rows of finite
-    numbers, one per name.  A malformed file raises ``ValueError`` naming
-    ``path``."""
-    with open(path, newline="") as fh:
+    """Read a numeric CSV, UTF-8 encoded: one header row of names, then rows
+    of finite numbers, one per name.  A malformed file raises ``ValueError``
+    naming ``path``."""
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = [row for row in csv.reader(fh) if row]
         except csv.Error as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header row and at least one data row")
     names = [c.strip() for c in rows[0]]
@@ -183,7 +185,7 @@ def read_covariates_csv(path) -> tuple[np.ndarray, list[str]]:
 def write_covariates_csv(path, X: np.ndarray, names=None) -> None:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     names = names or [f"x{d + 1}" for d in range(X.shape[1])]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         writer.writerows(X.tolist())

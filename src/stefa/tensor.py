@@ -20,17 +20,18 @@ more than 2**18 values is split into contiguous chunks, one per started 2**18
 values and at most one per CPU this process may run on, each handled by a
 worker process started with ``fork``.  Smaller tensors start no process, and
 where ``fork`` or ``os.sched_getaffinity`` is missing everything runs in this
-process.  A reading worker reads, decodes and parses its own byte range of
-the file, cut at ASCII whitespace by this process, which reads only the
-header and a few bytes at each cut.  A writing worker formats its chunk
-2**13 values at a time, the first straight into the destination and each
-other into a part file beside it, and this process appends the parts in
-order.  So no process holds the text of the file.  The parsed array and the
+process.  A file is read through one read-only memory map: this process
+matches the header and cuts the values at ASCII whitespace there, and each
+reading worker decodes and parses its own slice of the mapping.  A writing
+worker formats its chunk 2**13 values at a time, the first straight into the
+destination and each other into a part file beside it, and this process
+appends the parts in order.  So no process holds the text of the file.  The parsed array and the
 written file are identical for any number of chunks.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import re
@@ -59,15 +60,12 @@ __all__ = [
 _CHUNK_VALUES = 1 << 18
 # values formatted at a time: about 0.2 MB of text and 0.5 MB of strings
 _FORMAT_VALUES = 1 << 13
-# bytes read at a time for a file's header and for each cut between chunks;
-# the header must end within the first of them
-_SCAN_BYTES = 1 << 16
-# one whitespace-delimited token (``\s`` is what ``str.split`` splits on)
-_TOKEN = re.compile(r"\s*(\S+)")
-# an ASCII whitespace byte, which never sits inside a UTF-8 sequence, and
-# one followed by the last token of the bytes searched
+# numpy's largest number of dimensions
+_MAX_ORDER = 64
+# one token delimited by ASCII whitespace bytes, which never sit inside a
+# UTF-8 sequence
+_TOKEN = re.compile(rb"\s*(\S+)")
 _SPACE_BYTE = re.compile(rb"\s")
-_LAST_SPACE_BYTE = re.compile(rb"\s\S*\Z")
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:
@@ -257,86 +255,71 @@ def _format_values(values: np.ndarray) -> str:
                    for i in range(0, len(items), 8))
 
 
-def _read_header(text: str, path) -> tuple[tuple[int, ...], int]:
-    """The extents in the header of ``text`` and the offset where its values
-    start."""
-    token = _TOKEN.match(text)
+def _read_header(mm, path) -> tuple[tuple[int, ...], int]:
+    """The extents in the header of the mapped file ``mm`` and the offset
+    where its values start."""
+    token = _TOKEN.match(mm)
     if token is None:
         raise ValueError(f"{path}: empty tensor file")
-    order = int(token.group(1))
-    if order < 1:
-        raise ValueError(f"{path}: malformed header")
-    extents = []
-    for _ in range(order):
-        token = _TOKEN.match(text, token.end())
-        if token is None:
-            raise ValueError(f"{path}: malformed header")
-        extents.append(token.group(1))
-    dims = tuple(int(x) for x in extents)
+    try:
+        order = int(token.group(1).decode())
+        if not 1 <= order <= _MAX_ORDER:
+            raise ValueError
+        dims = []
+        for _ in range(order):
+            token = _TOKEN.match(mm, token.end())
+            if token is None:
+                raise ValueError
+            dims.append(int(token.group(1).decode()))
+    except ValueError:  # also a UnicodeDecodeError
+        raise ValueError(f"{path}: malformed header") from None
+    dims = tuple(dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"{path}: non-positive extent in {dims}")
     return dims, token.end()
 
 
-def _next_space(fh, pos: int) -> int:
-    """Offset of the first ASCII whitespace byte at or after ``pos`` in the
-    binary file ``fh``, or the file's size when there is none."""
-    fh.seek(pos)
-    while block := fh.read(_SCAN_BYTES):
-        space = _SPACE_BYTE.search(block)
-        if space is not None:
-            return pos + space.start()
-        pos += len(block)
-    return pos
-
-
 def _parse_range(chunk) -> np.ndarray:
-    """Parse the values in bytes ``start:stop`` of the file at ``path``, where
-    ``chunk`` is ``(path, start, stop)``."""
-    path, start, stop = chunk
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = fh.read(stop - start)
+    """Parse the values in bytes ``start:stop`` of the mapped file ``mm``,
+    where ``chunk`` is ``(mm, path, start, stop)``."""
+    mm, path, start, stop = chunk
     try:
-        text = data.decode("utf-8")
+        text = mm[start:stop].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text at byte "
                          f"{start + exc.start}") from None
-    del data
     return np.array(text.split(), dtype=float)
 
 
 def read_tns(path) -> np.ndarray:
     """Read the whitespace tensor text format, UTF-8 encoded.
 
-    Line 1: order M.  Line 2: the M extents.  Then prod(dims) values in
-    canonical (C, last-index-fastest) order.  The header is parsed from the
-    file's first 64 KiB, in which it must end.  The value bytes are cut at
-    ASCII whitespace into n = min(CPUs this process may run on, ceil(values
-    / 2**18)) byte ranges, and each range is read, decoded and parsed in one
-    of n forked worker processes (in this process when n == 1, and n is 1
-    where ``fork`` is not a start method), so this process never holds the
-    file's text.  The array is bit-identical for any n.
+    Line 1: order M, at most 64.  Line 2: the M extents.  Then prod(dims)
+    values in canonical (C, last-index-fastest) order; header tokens are
+    separated by ASCII whitespace.  The file is mapped read-only, and its
+    value bytes are cut at ASCII whitespace into n = min(CPUs this process
+    may run on, ceil(values / 2**18)) slices of the mapping, each decoded and
+    parsed in one of n forked worker processes (in this process when n == 1,
+    and n is 1 where ``fork`` is not a start method), so this process never
+    holds the file's text.  The array is bit-identical for any n.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_SCAN_BYTES)
-        size = os.fstat(fh.fileno()).st_size
-        if len(head) < size:
-            # keep whole tokens: the last one may go on past the prefix
-            last = _LAST_SPACE_BYTE.search(head)
-            head = head[:last.start() if last else 0]
-        text = head.decode("utf-8")
-        dims, start = _read_header(text, path)
-        start = len(text[:start].encode("utf-8"))
+        if os.fstat(fh.fileno()).st_size == 0:
+            raise ValueError(f"{path}: empty tensor file")
+        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    with mm:
+        dims, start = _read_header(mm, path)
         count = int(np.prod(dims, dtype=np.int64))
         n = _workers(count)
+        size = len(mm)
         cuts = [start]
         for i in range(1, n):
-            cuts.append(_next_space(fh, max(start + (size - start) * i // n,
-                                            cuts[-1])))
+            space = _SPACE_BYTE.search(mm, max(start + (size - start) * i // n,
+                                               cuts[-1]))
+            cuts.append(space.start() if space else size)
         cuts.append(size)
-    ranges = [(path, a, b) for a, b in zip(cuts, cuts[1:])]
-    values = np.concatenate(_map_chunks(_parse_range, ranges))
+        ranges = [(mm, path, a, b) for a, b in zip(cuts, cuts[1:])]
+        values = np.concatenate(_map_chunks(_parse_range, ranges))
     if values.size != count:
         raise ValueError(f"{path}: expected {count} values, found {values.size}")
     return values.reshape(dims, order="C")

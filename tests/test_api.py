@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -47,3 +48,33 @@ assert "scipy.interpolate" in sys.modules
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_private_module_level_name_is_used():
+    # a private function, class or assigned name at the top of a module that
+    # nothing in the package reads is dead code
+    package = Path(stefa.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    defined = []
+    used = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert not dead, f"private names that nothing uses: {dead}"

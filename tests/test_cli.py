@@ -94,6 +94,7 @@ def test_fit_bad_basis_and_bad_covariate_spec(workdir, capsys):
     root, _ = workdir
     base = ["fit", "--tensor", str(root / "y.tns"), "--out", str(root / "x")]
     assert main(base + ["--basis", "fourier:3"]) == 2
+    assert main(base + ["--basis", "legendre:3:junk"]) == 2
     assert main(base + ["--covariates", "one:x1.csv"]) == 2
     assert main(base + ["--covariates", f"9:{root / 'x1.csv'}"]) == 2
     assert main(base + ["--covariates", "1:/does/not/exist.csv"]) == 2
@@ -198,7 +199,8 @@ def test_predict_on_report_without_required_key_is_usage_error(workdir, capsys):
 @pytest.mark.parametrize("key, value", [
     ("basis", []), ("identity_modes", 5), ("ranks", 3), ("degree", "x"),
     pytest.param("format_version", 2, id="format_version-2"),
-    pytest.param("format_version", "1", id="format_version-str1")])
+    pytest.param("format_version", "1", id="format_version-str1"),
+    ("iterations_used", True)])
 def test_predict_on_report_with_wrong_value_type_is_usage_error(
         workdir, tmp_path, capsys, key, value):
     root, _ = workdir
@@ -262,24 +264,28 @@ def test_predict_without_covariates_is_numeric_error(workdir, capsys):
 def test_covariate_field_over_the_csv_limit_is_usage_error(workdir,
                                                            fuzz_fit_dir,
                                                            tmp_path, where):
-    # one field longer than the csv module's 131072-character limit
+    # one field longer than the csv module's 131072-character limit, and
+    # bytes that are not UTF-8
     root, _ = workdir
     fit_dir = tmp_path / "fit"
     shutil.copytree(fuzz_fit_dir, fit_dir)
-    big = (fit_dir / "covariates_mode1.csv" if where == "fit_dir"
-           else tmp_path / "big.csv")
-    big.write_text("x1\n0." + "1" * 140_000 + "\n")
+    bad = (fit_dir / "covariates_mode1.csv" if where == "fit_dir"
+           else tmp_path / "bad.csv")
     if where == "fit":
         argv = ["fit", "--tensor", str(root / "y.tns"),
-                "--covariates", f"1:{big}", "--out", str(tmp_path / "out")]
+                "--covariates", f"1:{bad}", "--out", str(tmp_path / "out")]
     else:
-        new = big if where == "predict" else root / "x1.csv"
+        new = bad if where == "predict" else root / "x1.csv"
         argv = ["predict", "--fit", str(fit_dir), "--new-covariates",
                 str(new), "--out", str(tmp_path / "out")]
-    code, err = _run_cli(argv)
-    assert code == 2, (code, err)
-    assert "field larger than field limit" in err and str(big) in err
-    assert "Traceback" not in err
+    for content, message in [
+            (b"x1\n0." + b"1" * 140_000 + b"\n", "field larger than field limit"),
+            (b"\xff\xfe", "not UTF-8 text")]:
+        bad.write_bytes(content)
+        code, err = _run_cli(argv)
+        assert code == 2, (code, err)
+        assert message in err and str(bad) in err
+        assert "Traceback" not in err
 
 
 def test_predict_on_deeply_nested_report_is_usage_error(workdir, fuzz_fit_dir,

@@ -100,6 +100,7 @@ def test_tucker_ranks_are_checked_by_hooi_and_fit_stefa():
     y = np.random.default_rng(16).standard_normal((5, 5, 5))
     for fit in (lambda r: hooi(y, r), lambda r: fit_stefa(y, None, ranks=r)):
         assert fit((1, 3, 3)).ranks == (1, 3, 3)
+        assert fit((np.int64(2), np.int32(2), 2)).ranks == (2, 2, 2)
         for ranks, message in [
                 ((1, 2, 3), r"rank 3 for mode 2 exceeds product of the other "
                             r"ranks \(2\)"),
@@ -108,7 +109,12 @@ def test_tucker_ranks_are_checked_by_hooi_and_fit_stefa():
                 # every range is checked before any product of ranks
                 ((2, 10 ** 30, 2), rf"rank {10 ** 30} for mode 1 not in \[1, 5\]"),
                 ((2, 2 ** 62, 2 ** 62), r"rank \d+ for mode 1 not in"),
-                ((3, 3), "2 ranks given for order-3 tensor")]:
+                ((3, 3), "2 ranks given for order-3 tensor"),
+                # a rank must be an integer, not a value int() would accept
+                ((2.7, 2, 2), r"rank 2\.7 for mode 0 is not an integer"),
+                ((2, "2", 2), r"rank '2' for mode 1 is not an integer"),
+                ((2, 2, np.float64(2.0)), r"for mode 2 is not an integer"),
+                ((True, 1, 1), r"rank True for mode 0 is not an integer")]:
             with pytest.raises(ValueError, match=message):
                 fit(ranks)
 

@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -424,7 +425,39 @@ def test_tns_header_within_the_scanned_prefix(tmp_path):
     path.write_text(header + "0.5\n" * count)
     back = read_tns(path)
     assert back.shape == (count,) and np.all(back == 0.5)
-    # an extent that straddles the end of those bytes is not read
+    # the file is mapped, so an extent that straddles the end of those
+    # bytes reads too
     path.write_text(f"1{' ' * (2 ** 16 - 4)}\n{count}\n" + "0.5\n" * count)
-    with pytest.raises(ValueError, match="malformed header"):
+    back = read_tns(path)
+    assert back.shape == (count,) and np.all(back == 0.5)
+
+
+@pytest.mark.parametrize("content", [
+    b"65\n" + b"1 " * 65 + b"\n0.5\n",     # order above numpy's 64
+    b"100000000000\n1\n0.5\n",             # reads no extents
+    b"x\n1 2\n",
+    b"2\n2 2.5\n1 2 3 4 5\n",
+    b"\xff\n1\n0.5\n",
+    b"1\n\xff\n0.5\n",
+    b"3\n1 1\n",                            # the file ends in the header
+], ids=["order-65", "order-1e11", "order-x", "extent-2.5", "order-xff",
+        "extent-xff", "short"])
+def test_tns_header_errors_name_the_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.tns"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed header"):
         read_tns(path)
+    assert main(["fit", "--tensor", str(path), "--ranks", "1,1,1",
+                 "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: malformed header" in err and "Traceback" not in err
+
+
+def test_tns_order_64_reads_and_empty_files_are_named(tmp_path):
+    path = tmp_path / "t.tns"
+    path.write_text("64\n" + "1 " * 62 + "2 3\n" + "0.5 " * 6 + "\n")
+    assert read_tns(path).shape == (1,) * 62 + (2, 3)
+    for content in ("", " \n\t\r\n"):
+        path.write_text(content)
+        with pytest.raises(ValueError, match="t.tns: empty tensor file"):
+            read_tns(path)
