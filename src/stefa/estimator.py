@@ -177,6 +177,11 @@ def _check_design_shapes(Y, designs) -> None:
                              f"extent is {Y.shape[m]}")
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
     """Per-mode ranks as ints, an identity mode's being its extent whatever
     integer ``ranks`` holds for it.  Each rank must be an int or a numpy
@@ -189,7 +194,7 @@ def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
     if len(ranks) != len(dims):
         raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
     for m, r in enumerate(ranks):
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        if not _is_integer(r):
             raise ValueError(f"rank {r!r} for mode {m} is not an integer")
     for m in identity_modes:
         if designs[m] is not None:
@@ -219,7 +224,7 @@ def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
 
 
 def _check_iteration_controls(max_iter, tol) -> None:
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    if not _is_integer(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -587,36 +592,11 @@ def fit_stefa(Y, designs=None, ranks=None, identity_modes=(),
     if not converged:
         flags.append(f"not converged after {len(trace)} sweeps")
 
-    diagnostics = _fit_diagnostics(stats.shape, designs, core, factors, gammas,
-                                   identity_modes)
-    diagnostics["timings"] = timings
     return StefaFit(core=core, g_loadings=factors, a_loadings=a_loadings,
                     gamma=gammas, sieve_coeffs=coeffs, ranks=ranks,
                     iterations_used=len(trace), subspace_change_trace=trace,
                     converged=converged, identity_modes=identity_modes,
-                    flags=flags, diagnostics=diagnostics)
-
-
-def _fit_diagnostics(shape, designs, core, factors, gammas, identity_modes):
-    per_mode = []
-    for m in range(len(shape)):
-        g = factors[m]
-        ortho = float(np.linalg.norm(g.T @ g / shape[m] - np.eye(g.shape[1])))
-        gram = mode_gram(core, m)
-        off = gram - np.diag(np.diag(gram))
-        entry = {
-            "g_orthonormality_residual": ortho,
-            "core_gram_offdiagonal_mass": float(np.linalg.norm(off)),
-            "identity_mode": m in identity_modes,
-        }
-        d = designs[m]
-        if d is not None:
-            gm = gammas[m]
-            denom = np.linalg.norm(gm) or 1.0
-            entry["gamma_sieve_orthogonality"] = float(
-                np.linalg.norm(d.phi.T @ gm) / denom)
-        per_mode.append(entry)
-    return {"per_mode": per_mode}
+                    flags=flags, diagnostics={"timings": timings})
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +632,7 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     ratio argmax ``lambda_k / lambda_{k+1}`` over the same range, with the
     floor guarding the denominators, and the profile holds those ratios.
     """
-    if k_max is not None and not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+    if k_max is not None and not (_is_integer(k_max) and k_max >= 1):
         raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
     stats, designs = _statistics(Y, designs, identity_modes)
     shape = stats.shape

@@ -6,8 +6,8 @@ plus an optional covariate-orthogonal loading part and unit-variance
 Gaussian noise.  The noise is added to the signal's own buffer in mode-0
 row blocks, so a draw holds one tensor of the observation's size; the
 signal is formed again only when :attr:`SimInstance.signal` is read.  The
-harness runs named experiment grids over replications with counter-derived
-seeds and writes plot-ready CSV summaries.
+harness runs named grids of cells, each naming the scorer of its draws, over
+replications with counter-derived seeds and writes plot-ready CSV summaries.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .estimator import (estimate_ranks, fit_stefa, hooi, subspace_distance)
+from .estimator import fit_stefa, hooi, subspace_distance
 from .sieve import (BasisSpec, build_design, eval_basis, eval_loading_function,
                     projector_apply)
 from .tensor import matricize, multi_mode_product, top_left_singular_vectors
@@ -305,6 +305,7 @@ def _protocol_table1(scheme="additive"):
                            "j_star": 4, "tau_gamma": 0.0, "scheme": scheme},
                 "fit_degree": 4,
                 "methods": ("ipsvd", "hooi"),
+                "score": _score_fit,
             })
     return cells
 
@@ -323,6 +324,7 @@ def _protocol_j_sweep():
                            "scheme": "additive"},
                 "fit_degree": degree,
                 "methods": ("ipsvd",),
+                "score": _score_fit,
             })
     return cells
 
@@ -336,6 +338,7 @@ def _protocol_gamma_sweep():
                        "j_star": 4, "tau_gamma": tau, "scheme": "additive"},
             "fit_degree": 4,
             "methods": ("ipsvd",),
+            "score": _score_fit,
         })
     return cells
 
@@ -351,6 +354,7 @@ def _protocol_unbalanced():
                            "j_star": 4, "tau_gamma": 0.0, "scheme": "additive"},
                 "fit_degree": 4,
                 "methods": ("ipsvd", "hooi"),
+                "score": _score_fit,
             })
     return cells
 
@@ -363,8 +367,8 @@ def _protocol_noise_amplify():
             "config": {"dims": (50,) * 3, "rank": 3, "alpha": 0.5,
                        "j_star": 4, "tau_gamma": 0.0, "scheme": "additive"},
             "fit_degree": 4,
-            "methods": ("ipsvd", "hooi"),
             "amplifier": amp,
+            "score": _score_noise_amplify,
         })
     return cells
 
@@ -417,19 +421,19 @@ def _squared_errors(truth, estimates):
     return errors, norm
 
 
-def _fit_metrics(inst: SimInstance, fit_degree: int, methods) -> dict:
+def _score_fit(inst: SimInstance, cell: dict) -> dict:
     """Losses of one replication, keyed ``(method, metric)``.
 
-    IP-SVD (and HOOI when ``methods`` holds it) is fitted to the observation
-    and scored by its loading subspaces, its first loading functions, whether
-    it converged (1.0 or 0.0, so a cell's mean is the share of converged
-    replications) and the relative reconstruction errors ``remse`` (against
-    the signal) and ``remse_obs`` (normed by the observation).  The
-    reconstruction errors are summed over row blocks from the Tucker factors
-    of the fits and of the truth, in one pass after both fits, so besides
-    the observation and the signal no tensor of their size is formed.
+    IP-SVD at sieve degree ``cell["fit_degree"]`` (and HOOI when
+    ``cell["methods"]`` holds it) is fitted to the observation and scored by
+    its loading subspaces, its first loading functions, whether it converged
+    (1.0 or 0.0, so a cell's mean is the share of converged replications) and
+    the relative reconstruction errors ``remse`` (against the signal) and
+    ``remse_obs`` (normed by the observation).  These are summed over row
+    blocks of the Tucker factors of the fits and the truth, in one pass after
+    both fits, so besides the observation no tensor of its size is formed.
     """
-    spec = BasisSpec(degree=fit_degree)
+    spec = BasisSpec(degree=cell["fit_degree"])
     designs = [build_design(X, spec) for X in inst.covariates]
     ranks = (inst.config.rank,) * len(inst.config.dims)
     out = {}
@@ -459,7 +463,7 @@ def _fit_metrics(inst: SimInstance, fit_degree: int, methods) -> dict:
                 loss_function_best_linear(hats, true_r, n_covariates=D)
 
     estimates = {"ipsvd": (fit.core, fit.g_loadings)}
-    if "hooi" in methods:
+    if "hooi" in cell["methods"]:
         h = hooi(inst.observed, ranks)
         for m in range(len(ranks)):
             out[("hooi", f"l2_a{m + 1}")] = loss_subspace(
@@ -476,27 +480,23 @@ def _fit_metrics(inst: SimInstance, fit_degree: int, methods) -> dict:
     return out
 
 
-def _run_rep(cell: dict, seed_seq) -> dict:
-    cfg = SimConfig(seed=seed_seq, **cell["config"])
-    inst = generate(cfg)
-    if "amplifier" in cell:
-        spec = BasisSpec(degree=cell["fit_degree"])
-        designs = [build_design(X, spec) for X in inst.covariates]
-        ranks = (cfg.rank,) * len(cfg.dims)
-        base = fit_stefa(inst.observed, designs, ranks=ranks)
-        s_hat = base.reconstruct()
-        rows = noise_amplify_refit(s_hat, inst.observed - s_hat,
-                                   [cell["amplifier"]], designs=designs,
-                                   ranks=ranks)
-        return {("ipsvd", "remse_sq"): rows[0]["ipsvd"],
-                ("hooi", "remse_sq"): rows[0]["hooi"]}
-    return _fit_metrics(inst, cell["fit_degree"], cell["methods"])
+def _score_noise_amplify(inst: SimInstance, cell: dict) -> dict:
+    """``remse_sq`` of both estimators refitted by :func:`noise_amplify_refit`
+    at ``cell["amplifier"]`` around the observation's IP-SVD reconstruction."""
+    designs = [build_design(X, BasisSpec(degree=cell["fit_degree"]))
+               for X in inst.covariates]
+    ranks = (inst.config.rank,) * len(inst.config.dims)
+    s_hat = fit_stefa(inst.observed, designs, ranks=ranks).reconstruct()
+    (row,) = noise_amplify_refit(s_hat, inst.observed - s_hat,
+                                 [cell["amplifier"]], designs, ranks)
+    return {(method, "remse_sq"): row[method] for method in ("ipsvd", "hooi")}
 
 
 def noise_amplify_refit(s_hat: np.ndarray, e_hat: np.ndarray, alphas,
                         designs=None, ranks=None) -> list:
     """Refit both estimators on ``s_hat + a * e_hat`` for each amplifier ``a``
-    and report the squared relative reconstruction error against ``s_hat``."""
+    and report the squared relative reconstruction error against ``s_hat``;
+    ``ranks=None`` refits HOOI at the ranks that :func:`fit_stefa` chose."""
     s_hat = np.asarray(s_hat, dtype=float)
     e_hat = np.asarray(e_hat, dtype=float)
     if s_hat.shape != e_hat.shape:
@@ -504,9 +504,8 @@ def noise_amplify_refit(s_hat: np.ndarray, e_hat: np.ndarray, alphas,
     rows = []
     for a in alphas:
         Y = s_hat + float(a) * e_hat
-        r = estimate_ranks(Y, designs) if ranks is None else ranks
-        fit = fit_stefa(Y, designs, ranks=r)
-        h = hooi(Y, r)
+        fit = fit_stefa(Y, designs, ranks=ranks)
+        h = hooi(Y, fit.ranks)
         rows.append({
             "amplifier": float(a),
             "ipsvd": loss_remse(fit.reconstruct(), s_hat, squared=True),
@@ -525,9 +524,9 @@ def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
     Per-replication seeds derive from ``SeedSequence(seed, spawn_key=(cell,
     rep))`` with the cell index taken in the full protocol grid, so running a
     subset of cells reproduces exactly the same draws.  Returns result rows
-    ``{cell, method, metric, mean, sd, reps}``; with ``out_dir`` also writes
-    results.csv and manifest.json, whose per-cell timings hold the cell's
-    total seconds and the seconds of each replication.
+    ``{cell, method, metric, mean, sd, reps}`` of each cell's ``score``; with
+    ``out_dir`` also writes results.csv and manifest.json, whose per-cell
+    timings hold the cell's total seconds and the seconds of each replication.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from "
@@ -551,12 +550,13 @@ def run_experiment(protocol: str, reps: int = 20, seed: int = 0,
         per_rep, rep_seconds = [], []
         for r in range(reps):
             rep_start = time.perf_counter()
-            per_rep.append(_run_rep(
-                cell, np.random.SeedSequence(seed, spawn_key=(idx, r))))
+            # no name holds the draw, so it is freed before the next one
+            per_rep.append(cell["score"](generate(SimConfig(
+                seed=np.random.SeedSequence(seed, spawn_key=(idx, r)),
+                **cell["config"])), cell))
             rep_seconds.append(time.perf_counter() - rep_start)
 
-        keys = sorted(per_rep[0], key=lambda k: (k[0], k[1]))
-        for method, metric in keys:
+        for method, metric in sorted(per_rep[0]):
             vals = np.array([rep[(method, metric)] for rep in per_rep])
             sd = float(np.std(vals, ddof=1)) if reps > 1 else 0.0
             rows.append({"cell": cell["label"], "method": method,

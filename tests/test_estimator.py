@@ -88,8 +88,8 @@ def test_hooi_rejects_bad_input():
     hooi, lambda y, ranks, **controls: ipsvd_iterate(y, None, ranks, **controls)],
     ids=["hooi", "ipsvd_iterate"])
 @pytest.mark.parametrize("key, value", [
-    ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("tol", np.nan),
-    ("tol", -1.0), ("tol", np.inf)])
+    ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("max_iter", True),
+    ("tol", np.nan), ("tol", -1.0), ("tol", np.inf)])
 def test_iterations_reject_bad_controls(fit, key, value):
     y = np.random.default_rng(3).standard_normal((4, 4, 4))
     with pytest.raises(ValueError, match=key):
@@ -581,7 +581,7 @@ def test_estimate_ranks_noiseless():
 def test_estimate_ranks_kmax_cap_and_profile():
     inst, designs = inspan_instance(seed=11)
     assert estimate_ranks(inst.signal, designs, k_max=1) == (1, 1, 1)
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="k_max must be None or an integer"):
             estimate_ranks(inst.signal, designs, k_max=bad)
     ranks, profiles = estimate_ranks(inst.signal, designs, return_profile=True)
