@@ -78,6 +78,8 @@ def _parse_covariate_args(args_list, order) -> list:
         if not 1 <= mode <= order:
             raise ValueError(f"bad --covariates {item!r}: mode {mode} not in "
                              f"[1, {order}]")
+        if paths[mode - 1] is not None:
+            raise ValueError(f"bad --covariates {item!r}: mode {mode} given twice")
         paths[mode - 1] = path
     return paths
 

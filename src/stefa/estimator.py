@@ -130,7 +130,6 @@ class StefaFit:
     iterations_used: int
     subspace_change_trace: list
     converged: bool
-    identity_modes: tuple = ()
     flags: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
@@ -182,44 +181,31 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_ranks(dims, designs, ranks, identity_modes) -> tuple:
-    """Per-mode ranks as ints, an identity mode's being its extent whatever
-    integer ``ranks`` holds for it.  Each rank must be an int or a numpy
-    integer (not a bool), and at least one mode must not be an identity
-    mode.  Every other rank must lie in [1, I_m], not
-    exceed the product of the other ranks (the Tucker condition, identity
-    modes counting at their extent) and, on a covariate mode, fit its sieve
-    span."""
+def _check_ranks(dims, designs, ranks) -> tuple:
+    """Per-mode ranks as ints.  Each rank must be an int or a numpy integer
+    (not a bool), lie in [1, I_m], not exceed the product of the other ranks
+    (the Tucker condition) and, on a covariate mode, fit its sieve span."""
     ranks = tuple(ranks)
     if len(ranks) != len(dims):
         raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
     for m, r in enumerate(ranks):
         if not _is_integer(r):
             raise ValueError(f"rank {r!r} for mode {m} is not an integer")
-    for m in identity_modes:
-        if designs[m] is not None:
-            raise ValueError(f"mode {m} is both an identity mode and has covariates")
-    ranks = tuple(d if m in identity_modes else int(r)
-                  for m, (r, d) in enumerate(zip(ranks, dims)))
-    modes = [m for m in range(len(dims)) if m not in identity_modes]
-    if not modes:
-        raise ValueError("every mode is an identity mode; at least one mode "
-                         "must be estimated")
+    ranks = tuple(int(r) for r in ranks)
     # every range first: the products below then neither overflow nor name
     # an out-of-range rank as the fault of another mode
-    for m in modes:
-        if not 1 <= ranks[m] <= dims[m]:
-            raise ValueError(f"rank {ranks[m]} for mode {m} not in [1, {dims[m]}]")
-    for m in modes:
+    for m, (r, dim) in enumerate(zip(ranks, dims)):
+        if not 1 <= r <= dim:
+            raise ValueError(f"rank {r} for mode {m} not in [1, {dim}]")
+    for m, r in enumerate(ranks):
         other = math.prod(ranks[:m] + ranks[m + 1:])
-        if ranks[m] > other:
-            raise ValueError(f"rank {ranks[m]} for mode {m} exceeds product of "
+        if r > other:
+            raise ValueError(f"rank {r} for mode {m} exceeds product of "
                              f"the other ranks ({other})")
-    for m in modes:
-        d = designs[m]
-        if d is not None and ranks[m] > d.rank:
+    for m, (r, d) in enumerate(zip(ranks, designs)):
+        if d is not None and r > d.rank:
             raise RankExceedsSpanError(
-                f"rank exceeds sieve span (mode {m}: rank {ranks[m]} > span {d.rank})")
+                f"rank exceeds sieve span (mode {m}: rank {r} > span {d.rank})")
     return ranks
 
 
@@ -261,23 +247,23 @@ def _contractions(T, units, modes):
                                               if j != held and j != m})
 
 
-def _power_iteration(T, ranks, modes, max_iter, tol):
+def _power_iteration(T, ranks, max_iter, tol):
     """Gauss-Seidel power iteration (HOOI sweeps) on ``T``; HOOI runs it on
     the observed tensor, IP-SVD on the sieve-compressed one.
 
-    Each mode in ``modes`` starts from the top eigenvectors of T's mode Gram,
-    and each sweep updates them in that order from :func:`_contractions`.
+    Each mode starts from the top eigenvectors of T's mode Gram, and each
+    sweep updates the modes in order from :func:`_contractions`.
 
     Returns ``(units, changes, energies, core, converged)``: per mode the
-    final unit (None outside ``modes``); per sweep, the largest subspace
-    change over ``modes``; the energy ``||T x_m units[m]^T||^2`` the units
-    capture before the first sweep and after each one; and the core
-    ``T x_m units[m]^T`` of the final units.  The energies and the core come
-    from the loop's own contractions.  The iteration stops after the first
-    change below ``tol`` or after ``max_iter`` sweeps.
+    final unit; per sweep, the largest subspace change over the modes; the
+    energy ``||T x_m units[m]^T||^2`` the units capture before the first
+    sweep and after each one; and the core ``T x_m units[m]^T`` of the final
+    units.  The energies and the core come from the loop's own contractions.
+    The iteration stops after the first change below ``tol`` or after
+    ``max_iter`` sweeps.
     """
-    units = [top_eigenvectors(mode_gram(T, m), ranks[m]) if m in modes
-             else None for m in range(T.ndim)]
+    modes = list(range(T.ndim))
+    units = [top_eigenvectors(mode_gram(T, m), ranks[m]) for m in modes]
     contractions = _contractions(T, units, modes)
     m, contracted = next(contractions)
     core = mode_product(contracted, units[m].T, m)
@@ -285,14 +271,14 @@ def _power_iteration(T, ranks, modes, max_iter, tol):
     # the first update takes the contraction the start energy came from
     contractions = itertools.chain([(m, contracted)], contractions)
     for _ in range(max_iter):
-        prev = [units[m] for m in modes]
+        prev = list(units)
         for m, contracted in itertools.islice(contractions, len(modes)):
             units[m] = top_left_singular_vectors(matricize(contracted, m),
                                                  ranks[m])
         core = mode_product(contracted, units[m].T, m)
         energies.append(float(np.vdot(core, core)))
-        changes.append(max(subspace_distance(units[m], p)
-                           for m, p in zip(modes, prev)))
+        changes.append(max(subspace_distance(u, p)
+                           for u, p in zip(units, prev)))
         if changes[-1] < tol:
             return units, changes, energies, core, True
     return units, changes, energies, core, False
@@ -301,17 +287,17 @@ def _power_iteration(T, ranks, modes, max_iter, tol):
 # ---------------------------------------------------------------------------
 # sieve statistics
 
-def compress(Y: np.ndarray, designs=None, identity_modes=()) -> SieveStats:
+def compress(Y: np.ndarray, designs=None) -> SieveStats:
     """Sieve statistics of the observed tensor Y: all that a fit reads of it.
 
     With B_m the orthonormal sieve basis of every mode m that has a design
-    and is not in ``identity_modes`` (a covariate mode), the statistics hold
-    ``||Y||^2``; the leave-one-out compressions ``L_m = Y x_{j != m} B_j^T``,
-    one per covariate mode (each I_m x J x J for three covariate modes); the
-    sieve-compressed tensor ``Z = L_m x_m B_m^T``; and the bases.  Other
-    modes are neither compressed nor contracted, so on a mode without a
-    basis the leave-one-out entry is Z itself, and with no designs Z and
-    every entry are Y itself, not copies.
+    (a covariate mode), the statistics hold ``||Y||^2``; the leave-one-out
+    compressions ``L_m = Y x_{j != m} B_j^T``, one per covariate mode (each
+    I_m x J x J for three covariate modes); the sieve-compressed tensor
+    ``Z = L_m x_m B_m^T``; and the bases.  Other modes are neither
+    compressed nor contracted, so on a mode without a basis the
+    leave-one-out entry is Z itself, and with no designs Z and every entry
+    are Y itself, not copies.
 
     Y is read three times: once by ``||Y||^2`` and twice by the compressions
     (:func:`_contractions`), along the first and the last covariate mode,
@@ -327,8 +313,7 @@ def compress(Y: np.ndarray, designs=None, identity_modes=()) -> SieveStats:
         if not np.all(np.isfinite(Y)):
             raise ValueError("tensor has non-finite entries")
         raise EstimationError("squared norm of the tensor overflows; rescale it")
-    bases = tuple(None if d is None or m in identity_modes else d.basis
-                  for m, d in enumerate(designs))
+    bases = tuple(None if d is None else d.basis for d in designs)
     covariate = [m for m, b in enumerate(bases) if b is not None]
     partial = dict(itertools.islice(
         _contractions(Y, bases, covariate[1:] + covariate[:1]), len(covariate)))
@@ -343,15 +328,14 @@ def compress(Y: np.ndarray, designs=None, identity_modes=()) -> SieveStats:
                       bases=bases)
 
 
-def _statistics(Y, designs, identity_modes):
+def _statistics(Y, designs):
     """``(stats, designs)``: the sieve statistics of ``Y``, formed here unless
     ``Y`` already is :class:`SieveStats`, and the per-mode designs, which
     must be the ones the statistics were compressed with."""
-    stats = (Y if isinstance(Y, SieveStats)
-             else compress(Y, designs, identity_modes))
+    stats = Y if isinstance(Y, SieveStats) else compress(Y, designs)
     designs = _normalize_designs(designs, len(stats.shape))
     for m, (b, d) in enumerate(zip(stats.bases, designs)):
-        if b is not (None if d is None or m in identity_modes else d.basis):
+        if b is not (None if d is None else d.basis):
             raise ValueError(f"sieve statistics were not compressed with the "
                              f"design of mode {m}")
     return stats, designs
@@ -383,9 +367,9 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     _check_iteration_controls(max_iter, tol)
     stats = compress(Y)               # no designs: its tensor is Y itself
     Y = stats.compressed
-    ranks = _check_ranks(Y.shape, [None] * Y.ndim, ranks, ())
+    ranks = _check_ranks(Y.shape, [None] * Y.ndim, ranks)
     units, changes, energies, core, converged = _power_iteration(
-        Y, ranks, list(range(Y.ndim)), max_iter, tol)
+        Y, ranks, max_iter, tol)
     trace = [Y.size * e for e in energies]
 
     # the least-squares core of the loadings sqrt(I_m) U_m is Y x_m U_m^T
@@ -401,46 +385,36 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
 # ---------------------------------------------------------------------------
 # iteratively projected SVD
 
-def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8,
-                  identity_modes=()):
+def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8):
     """Iteratively projected SVD: projected spectral start and projected
     power iterations (Gauss-Seidel over modes).
 
     ``Y`` is the observed tensor or its :class:`SieveStats` (from
-    :func:`compress` with the same ``designs`` and ``identity_modes``).  The
-    start and the sweeps run as HOOI on the sieve-compressed tensor Z, which
-    is Y contracted with ``B_m^T`` on every covariate mode m.  The start
-    of mode m is the top eigenvectors of Z's mode-m Gram, the coordinates
-    ``W_m`` of the projected spectral start ``B_m W_m``; the sweeps update
-    the W_m, whose subspace change the orthonormal B_m leaves unchanged, and
-    the factors are lifted as ``fix_signs(B_m W_m) * sqrt(I_m)`` at the end.
-    Modes without a design stay uncompressed.  Modes in ``identity_modes``
-    (which have no design) are neither contracted nor updated: their rank is
-    their extent, whatever ``ranks`` holds for them, and their factor is
-    ``sqrt(I_m)`` times the identity.  The ranks of the other modes must be
-    valid Tucker ranks, identity modes counting at their extent, and fit
-    their sieve spans (:class:`RankExceedsSpanError` otherwise); ``max_iter``
-    must be an integer >= 1 and ``tol`` finite and >= 0.
+    :func:`compress` with the same ``designs``).  The start and the sweeps
+    run as HOOI on the sieve-compressed tensor Z, which is Y contracted with
+    ``B_m^T`` on every covariate mode m.  The start of mode m is the top
+    eigenvectors of Z's mode-m Gram, the coordinates ``W_m`` of the projected
+    spectral start ``B_m W_m``; the sweeps update the W_m, whose subspace
+    change the orthonormal B_m leaves unchanged, and the factors are lifted
+    as ``fix_signs(B_m W_m) * sqrt(I_m)`` at the end.  Modes without a
+    design stay uncompressed and take the plain HOOI update.  The ranks must
+    be valid Tucker ranks that fit their sieve spans
+    (:class:`RankExceedsSpanError` otherwise); ``max_iter`` must be an
+    integer >= 1 and ``tol`` finite and >= 0.
 
     Returns ``(factors, trace, converged)`` where ``trace`` holds the maximal
     per-sweep subspace change.
     """
     _check_iteration_controls(max_iter, tol)
-    stats, designs = _statistics(Y, designs, identity_modes)
-    ranks = _check_ranks(stats.shape, designs, ranks, identity_modes)
+    stats, designs = _statistics(Y, designs)
+    ranks = _check_ranks(stats.shape, designs, ranks)
     scales = np.sqrt(np.asarray(stats.shape, dtype=float))
-    modes = [m for m in range(len(stats.shape)) if m not in identity_modes]
 
     units, trace, _, _, converged = _power_iteration(
-        stats.compressed, ranks, modes, max_iter, tol)
+        stats.compressed, ranks, max_iter, tol)
 
-    factors = []
-    for m, (u, b) in enumerate(zip(units, stats.bases)):
-        if u is None:
-            u = np.eye(stats.shape[m])
-        elif b is not None:
-            u = fix_signs(b @ u)
-        factors.append(u * scales[m])
+    factors = [(u if b is None else fix_signs(b @ u)) * s
+               for u, b, s in zip(units, stats.bases, scales)]
     return factors, trace, converged
 
 
@@ -462,16 +436,13 @@ def estimate_core(Y, factors) -> np.ndarray:
     return multi_mode_product(stats.compressed, coords) / float(stats.size)
 
 
-def calibrate(core: np.ndarray, factors, identity_modes=()):
+def calibrate(core: np.ndarray, factors):
     """Rotate core and factors so each mode-wise core Gram is diagonal with
     decreasing entries.  Returns ``(core, factors, flags)``."""
     core = np.asarray(core, dtype=float)
     rotations = []
     flags = []
     for m in range(core.ndim):
-        if m in identity_modes:
-            rotations.append(np.eye(core.shape[m]))
-            continue
         gram = mode_gram(core, m)
         w, v = np.linalg.eigh(gram)
         w, v = w[::-1], v[:, ::-1]
@@ -483,14 +454,12 @@ def calibrate(core: np.ndarray, factors, identity_modes=()):
     return new_core, new_factors, flags
 
 
-def estimate_loadings(Y, designs, core: np.ndarray, g_loadings,
-                      identity_modes=()):
+def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
     """Full loadings, their covariate-orthogonal parts, and sieve coefficients.
 
     The mode-m loading regresses the (other-mode projected) observation onto
     the core contracted with the other modes' G loadings; the orthogonal part
-    is its residual after sieve projection.  The loading of a mode in
-    ``identity_modes`` is the identity, so that mode is not contracted.
+    is its residual after sieve projection.
 
     ``Y`` is the observed tensor or its :class:`SieveStats`.  The G loadings
     lie in the sieve spans, so the mode-m contraction ``Y x_{j != m} U_j^T``
@@ -499,21 +468,15 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings,
     mode without a basis), S_m being the leave-one-out compression L_m on a
     covariate mode and Z on a mode without a basis.
     """
-    stats, designs = _statistics(Y, designs, identity_modes)
+    stats, designs = _statistics(Y, designs)
     shape = stats.shape
     scales = np.sqrt(np.asarray(shape, dtype=float))
-    modes = [m for m in range(len(shape)) if m not in identity_modes]
     coords = {}
-    for m in modes:
-        u, b = g_loadings[m] / scales[m], stats.bases[m]
+    for m, b in enumerate(stats.bases):
+        u = g_loadings[m] / scales[m]
         coords[m] = (u if b is None else b.T @ u).T
     a_loadings, gammas, coeffs = [], [], []
     for m in range(len(shape)):
-        if m in identity_modes:
-            a_loadings.append(np.eye(shape[m]))
-            gammas.append(np.zeros((shape[m], shape[m])))
-            coeffs.append(None)
-            continue
         gram = mode_gram(core, m)
         w = eigenvalues_symmetric(gram)
         if w[-1] < 1e-12 * np.trace(gram):
@@ -537,55 +500,45 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings,
     return a_loadings, gammas, coeffs
 
 
-def fit_stefa(Y, designs=None, ranks=None, identity_modes=(),
-              max_iter: int = 50, tol: float = 1e-8) -> StefaFit:
+def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
+              tol: float = 1e-8) -> StefaFit:
     """Full pipeline: sieve statistics (:func:`compress`), iteratively
     projected SVD (:func:`ipsvd_iterate`, which also checks the ranks), core
     projection, orthogonal calibration, and loading extraction.  Every stage
     after the first works on the statistics, so the fit reads Y three times;
-    ``Y`` may also be statistics already compressed with ``designs`` and
-    ``identity_modes``.  ``diagnostics["timings"]`` holds the wall seconds of
-    each stage: compress, ranks (0 with given ranks), iterate, core,
-    calibrate and loadings.
+    ``Y`` may also be statistics already compressed with ``designs``.
+    ``diagnostics["timings"]`` holds the wall seconds of each stage:
+    compress, ranks (0 with given ranks), iterate, core, calibrate and
+    loadings.
 
     ``designs`` is a per-mode list of :class:`SieveDesign` or None (no
-    covariates for that mode, meaning unprojected updates).  Modes listed in
-    ``identity_modes`` are not compressed: their loading is the identity and
-    their core extent, and so their rank, equals the tensor extent (their
-    entry in ``ranks`` is ignored).  ``ranks=None`` selects the other ranks
-    with :func:`estimate_ranks`: per mode, the count of projected-Gram
-    eigenvalues above the noise edge, with the noise variance measured on the
-    complement of the sieve spans (the eigenvalue ratio when no mode has a
-    design).  ``max_iter`` must be an integer >= 1 and ``tol`` finite and
-    >= 0; a fit that uses all ``max_iter`` sweeps without a subspace change
-    below ``tol`` carries the flag ``"not converged after N sweeps"``.
+    covariates for that mode, meaning unprojected updates).  ``ranks=None``
+    selects the ranks with :func:`estimate_ranks`: per mode, the count of
+    projected-Gram eigenvalues above the noise edge, with the noise variance
+    measured on the complement of the sieve spans (the eigenvalue ratio when
+    no mode has a design).  ``max_iter`` must be an integer >= 1 and ``tol``
+    finite and >= 0; a fit that uses all ``max_iter`` sweeps without a
+    subspace change below ``tol`` carries the flag ``"not converged after N
+    sweeps"``.
     """
     _check_iteration_controls(max_iter, tol)
-    identity_modes = tuple(sorted(set(identity_modes)))
     timings = {}
     with _stage(timings, "compress"):
-        stats, designs = _statistics(Y, designs, identity_modes)
+        stats, designs = _statistics(Y, designs)
     with _stage(timings, "ranks"):
         if ranks is None:
-            ranks = estimate_ranks(stats, designs, identity_modes=identity_modes)
+            ranks = estimate_ranks(stats, designs)
     with _stage(timings, "iterate"):
         factors, trace, converged = ipsvd_iterate(
-            stats, designs, ranks, max_iter=max_iter, tol=tol,
-            identity_modes=identity_modes)
+            stats, designs, ranks, max_iter=max_iter, tol=tol)
     ranks = tuple(g.shape[1] for g in factors)
     with _stage(timings, "core"):
         core = estimate_core(stats, factors)
     with _stage(timings, "calibrate"):
-        core, factors, flags = calibrate(core, factors, identity_modes)
+        core, factors, flags = calibrate(core, factors)
     with _stage(timings, "loadings"):
         a_loadings, gammas, coeffs = estimate_loadings(
-            stats, designs, core, factors, identity_modes=identity_modes)
-
-    # identity modes keep the plain identity loading; fold its sqrt(I) scale
-    # into the core so reconstruction conventions match the other modes
-    for m in identity_modes:
-        core = core * np.sqrt(stats.shape[m])
-        factors[m] = np.eye(stats.shape[m])
+            stats, designs, core, factors)
 
     if all(d is None for d in designs):
         flags.append("no sieve projection")
@@ -595,22 +548,21 @@ def fit_stefa(Y, designs=None, ranks=None, identity_modes=(),
     return StefaFit(core=core, g_loadings=factors, a_loadings=a_loadings,
                     gamma=gammas, sieve_coeffs=coeffs, ranks=ranks,
                     iterations_used=len(trace), subspace_change_trace=trace,
-                    converged=converged, identity_modes=identity_modes,
-                    flags=flags, diagnostics={"timings": timings})
+                    converged=converged, flags=flags,
+                    diagnostics={"timings": timings})
 
 
 # ---------------------------------------------------------------------------
 # rank selection
 
 def estimate_ranks(Y, designs=None, k_max: int | None = None,
-                   identity_modes=(), return_profile: bool = False):
+                   return_profile: bool = False):
     """Noise-edge rank estimate per mode on the sieve-projected tensor.
 
     ``Y`` is the observed tensor or its :class:`SieveStats` (compressed with
-    ``designs`` and ``identity_modes``); the estimate reads only Z and
-    ``||Y||^2``.  Z is Y contracted with every covariate mode's orthonormal
-    sieve basis.  The rank of a mode in ``identity_modes`` is its extent.
-    The noise variance is estimated from the energy outside the sieve spans,
+    ``designs``); the estimate reads only Z and ``||Y||^2``.  Z is Y
+    contracted with every covariate mode's orthonormal sieve basis.  The
+    noise variance is estimated from the energy outside the sieve spans,
     ``sigma2 = (||Y||^2 - ||Z||^2) / (N - |Z|)``, which signal inside the
     spans does not reach.  The rank of mode m is the number of eigenvalues of
     the Gram of the n x p matricization Z_(m) above the noise edge
@@ -618,8 +570,8 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     n x p matrix reaches (in the spirit of Onatski, 2010).  The profile holds
     ``lambda_k / edge``, so the chosen rank is the number of its entries
     above 1, clamped to at least 1.  A mode whose count exceeds the product
-    of the other modes' ranks (an identity mode counting its extent) gets
-    that product, so the result is a valid Tucker rank.
+    of the other modes' ranks gets that product, so the result is a valid
+    Tucker rank.
 
     The count runs over k up to ``min(I_m, prod I_other) / 2`` (nearest
     integer) and ``k_max`` (None or an integer >= 1), further capped one below
@@ -634,7 +586,7 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     """
     if k_max is not None and not (_is_integer(k_max) and k_max >= 1):
         raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
-    stats, designs = _statistics(Y, designs, identity_modes)
+    stats, designs = _statistics(Y, designs)
     shape = stats.shape
     compressed = stats.compressed
     if not np.any(compressed):
@@ -648,10 +600,6 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     ranks = []
     profiles = []
     for m in range(len(shape)):
-        if m in identity_modes:
-            ranks.append(shape[m])
-            profiles.append(np.array([]))
-            continue
         lam = np.clip(eigenvalues_symmetric(mode_gram(compressed, m)), 0.0, None)
         n = compressed.shape[m]
         p = compressed.size // n
@@ -680,9 +628,8 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     # mode can exceed the product of the others, and capping it there keeps
     # the rest valid
     for m in range(len(shape)):
-        if m not in identity_modes:
-            others = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
-            ranks[m] = min(ranks[m], others)
+        others = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
+        ranks[m] = min(ranks[m], others)
     ranks = tuple(ranks)
     return (ranks, profiles) if return_profile else ranks
 
@@ -729,7 +676,8 @@ _REPORT_KEYS = {
     "iterations_used": ("an integer", _is(int)),
     "subspace_change_trace": ("a list of numbers", _list_of((int, float))),
     "converged": ("true or false", _is(bool)),
-    "identity_modes": ("a list of integers", _list_of(int)),
+    # a layout-1 key from when a fit could hold identity modes; always empty
+    "identity_modes": ("an empty list", lambda v: v == []),
     "flags": ("a list of strings", _list_of(str)),
     "diagnostics": ("an object", _is(dict)),
     "basis": ("an object", _is(dict)),
@@ -784,7 +732,7 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
         "iterations_used": fit.iterations_used,
         "subspace_change_trace": [float(x) for x in fit.subspace_change_trace],
         "converged": fit.converged,
-        "identity_modes": list(fit.identity_modes),
+        "identity_modes": [],
         "flags": fit.flags,
         "diagnostics": fit.diagnostics,
         "basis": basis,
@@ -797,7 +745,8 @@ def load_fit(fit_dir):
     """Read a fit directory back into ``(StefaFit, designs)``.
 
     Raises ``ValueError`` when ``report.json`` is not JSON, nests too deeply
-    to parse, lacks a required key, holds a value of the wrong type or a
+    to parse, lacks a required key, holds a value of the wrong type (an
+    ``identity_modes`` other than the empty list among them) or a
     ``format_version`` other than 1 (a missing one reads as 1); when a matrix
     file lacks the header ``save_fit`` writes or is not a numeric CSV that
     :func:`~stefa.sieve.read_covariates_csv` reads, or the core has a
@@ -864,7 +813,6 @@ def load_fit(fit_dir):
                    sieve_coeffs=coeffs, ranks=tuple(report["ranks"]),
                    iterations_used=report["iterations_used"],
                    subspace_change_trace=report["subspace_change_trace"],
-                   converged=report["converged"],
-                   identity_modes=tuple(report["identity_modes"]),
-                   flags=report["flags"], diagnostics=report["diagnostics"])
+                   converged=report["converged"], flags=report["flags"],
+                   diagnostics=report["diagnostics"])
     return fit, designs

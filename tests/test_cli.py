@@ -101,6 +101,20 @@ def test_fit_bad_basis_and_bad_covariate_spec(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["fit", "ranks"])
+def test_covariates_naming_a_mode_twice_is_usage_error(workdir, tmp_path,
+                                                       capsys, command):
+    # the second file for mode 1 is not silently kept over the first
+    root, _ = workdir
+    second = f"1:{root / 'x2.csv'}"
+    code = main([command, "--tensor", str(root / "y.tns"), *cov_args(root),
+                 "--covariates", second, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (capsys.readouterr().err
+            == f"error: bad --covariates {second!r}: mode 1 given twice\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ranks_command(workdir, capsys):
     root, _ = workdir
     code = main(["ranks", "--tensor", str(root / "y.tns"), *cov_args(root),
@@ -197,7 +211,8 @@ def test_predict_on_report_without_required_key_is_usage_error(workdir, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("basis", []), ("identity_modes", 5), ("ranks", 3), ("degree", "x"),
+    ("basis", []), ("identity_modes", 5), ("identity_modes", [2]),
+    ("ranks", 3), ("degree", "x"),
     pytest.param("format_version", 2, id="format_version-2"),
     pytest.param("format_version", "1", id="format_version-str1"),
     ("iterations_used", True)])

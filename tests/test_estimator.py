@@ -12,7 +12,8 @@ from stefa.estimator import (DegenerateCoreError, EstimationError,
                              subspace_distance)
 from stefa.sieve import BasisSpec, build_design, projector_apply
 from stefa.simlab import SimConfig, generate
-from stefa.tensor import matricize, multi_mode_product, top_left_singular_vectors
+from stefa.tensor import (matricize, mode_product, multi_mode_product,
+                          top_left_singular_vectors)
 
 
 def inspan_instance(dims=(20, 20, 20), rank=2, degree=3, alpha=1.0, seed=0,
@@ -240,17 +241,16 @@ def test_hooi_reads_the_tensor_n_over_n_minus_1_times_per_sweep(
 
 
 def test_single_active_mode_iterates_on_the_tensor_itself(monkeypatch):
-    # two identity modes: the update of the one active mode reads T itself
-    # (no mode product); each sweep's energy and the start's contract T once
-    y = np.random.default_rng(33).standard_normal((10, 11, 12))
+    # one covariate mode: its leave-one-out compression is Y itself (no mode
+    # product), so Y is read only by the product that forms Z
+    rng = np.random.default_rng(33)
+    y = rng.standard_normal((10, 11, 12))
+    design = build_design(rng.uniform(size=(10, 1)), BasisSpec(degree=3))
     reads = _count_tensor_reads(monkeypatch, y)
-    for k in (1, 3):
-        reads.clear()
-        factors, trace, _ = ipsvd_iterate(y, None, (2, 1, 1), max_iter=k,
-                                          tol=0.0, identity_modes=(1, 2))
-        assert len(trace) == k and reads == [0] * (k + 1)
-        u = top_left_singular_vectors(matricize(y, 0), 2)
-        assert subspace_distance(factors[0], u) <= 1e-10
+    stats = compress(y, [design, None, None])
+    assert stats.leave_one_out[0] is y and reads == [0]
+    assert np.allclose(stats.compressed, mode_product(y, design.basis.T, 0),
+                       rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +342,17 @@ def test_iterate_trace_and_convergence():
     assert trace[-1] < 1e-8
 
 
-def reference_ipsvd_iterate(Y, designs, ranks, max_iter=50, tol=1e-8,
-                            identity_modes=()):
+def reference_ipsvd_iterate(Y, designs, ranks, max_iter=50, tol=1e-8):
     """IP-SVD in the full space: the start of mode m is the top left singular
     vectors of Y projected onto every mode's sieve span (P_j = B_j B_j^T, the
     identity without a design), and every update contracts Y with the other
-    modes' factors and projects onto the mode's sieve span.  Identity modes
-    keep the identity factor."""
-    modes = [m for m in range(Y.ndim) if m not in identity_modes]
+    modes' factors and projects onto the mode's sieve span."""
+    modes = range(Y.ndim)
     projected = multi_mode_product(Y, {j: d.basis @ d.basis.T
                                        for j, d in enumerate(designs)
                                        if d is not None})
     units = [top_left_singular_vectors(matricize(projected, m), ranks[m])
-             if m in modes else np.eye(Y.shape[m]) for m in range(Y.ndim)]
+             for m in modes]
     trace = []
     for _ in range(max_iter):
         prev = list(units)
@@ -371,31 +369,24 @@ def reference_ipsvd_iterate(Y, designs, ranks, max_iter=50, tol=1e-8,
     return [u * s for u, s in zip(units, scales)], trace
 
 
-@pytest.mark.parametrize("case", ["all_designs", "one_without_design",
-                                  "identity_mode"])
+@pytest.mark.parametrize("case", ["all_designs", "one_without_design"])
 def test_compressed_iteration_matches_full_space_reference(case):
-    dims = (20, 20, 10) if case == "identity_mode" else (30, 30, 30)
+    dims = (30, 30, 30)
     inst, designs = inspan_instance(dims=dims, seed=20, alpha=0.5)
     y = inst.observed
-    kwargs = {}
     if case == "one_without_design":
         designs[1] = None
-    elif case == "identity_mode":
-        # the identity mode's rank is its extent, whatever ranks holds
-        designs[2] = None
-        kwargs = {"identity_modes": (2,)}
 
-    factors, trace, converged = ipsvd_iterate(y, designs, (2, 2, 2), **kwargs)
-    ref, ref_trace = reference_ipsvd_iterate(y, designs, (2, 2, 2), **kwargs)
+    factors, trace, converged = ipsvd_iterate(y, designs, (2, 2, 2))
+    ref, ref_trace = reference_ipsvd_iterate(y, designs, (2, 2, 2))
     assert len(trace) == len(ref_trace) > 2
     assert converged
     assert np.allclose(trace, ref_trace, rtol=0.0, atol=1e-10)
     for m in range(3):
-        rank = dims[m] if m in kwargs.get("identity_modes", ()) else 2
-        assert factors[m].shape == (dims[m], rank)
+        assert factors[m].shape == (dims[m], 2)
         assert subspace_distance(factors[m], ref[m]) <= 1e-10
         assert np.allclose(factors[m].T @ factors[m] / dims[m],
-                           np.eye(rank), atol=1e-10)
+                           np.eye(2), atol=1e-10)
 
 
 def test_fixed_rank_fit_compresses_the_tensor_once(monkeypatch):
@@ -420,23 +411,17 @@ def _close(a, b, tol=1e-12):
 
 
 @pytest.mark.parametrize("case", ["all_designs", "one_without_design",
-                                  "identity_mode", "no_designs"])
+                                  "no_designs"])
 def test_stages_take_the_tensor_or_its_sieve_statistics(case):
-    dims = (20, 20, 10) if case == "identity_mode" else (24, 26, 28)
-    inst, designs = inspan_instance(dims=dims, seed=24, alpha=0.5)
+    inst, designs = inspan_instance(dims=(24, 26, 28), seed=24, alpha=0.5)
     y = inst.observed
-    identity_modes = ()
     if case == "one_without_design":
         designs[1] = None
-    elif case == "identity_mode":
-        designs[2] = None
-        identity_modes = (2,)
     elif case == "no_designs":
         designs = [None] * 3
-    stats = compress(y, designs, identity_modes)
-    kwargs = {"identity_modes": identity_modes}
+    stats = compress(y, designs)
 
-    fits = [fit_stefa(t, designs, ranks=(2, 2, 2), **kwargs) for t in (y, stats)]
+    fits = [fit_stefa(t, designs, ranks=(2, 2, 2)) for t in (y, stats)]
     assert fits[0].ranks == fits[1].ranks
     assert fits[0].iterations_used == fits[1].iterations_used
     assert _close(fits[0].core, fits[1].core)
@@ -444,7 +429,7 @@ def test_stages_take_the_tensor_or_its_sieve_statistics(case):
         for name in ("g_loadings", "a_loadings", "gamma"):
             assert _close(getattr(fits[0], name)[m], getattr(fits[1], name)[m])
 
-    (f0, t0, c0), (f1, t1, c1) = [ipsvd_iterate(t, designs, (2, 2, 2), **kwargs)
+    (f0, t0, c0), (f1, t1, c1) = [ipsvd_iterate(t, designs, (2, 2, 2))
                                   for t in (y, stats)]
     assert c0 == c1 and _close(t0, t1, 0.0)
     assert all(_close(a, b) for a, b in zip(f0, f1))
@@ -455,7 +440,7 @@ def test_stages_take_the_tensor_or_its_sieve_statistics(case):
     assert _close(estimate_core(y, f0), direct)
 
     core = estimate_core(stats, f0)
-    out = [estimate_loadings(t, designs, core, f0, **kwargs) for t in (y, stats)]
+    out = [estimate_loadings(t, designs, core, f0) for t in (y, stats)]
     for part in range(2):
         assert all(_close(a, b) for a, b in zip(out[0][part], out[1][part]))
 
@@ -482,15 +467,12 @@ def test_fit_stefa_rejects_bad_iteration_controls():
             fit_stefa(inst.observed, designs, ranks=(2, 2, 2), **bad)
 
 
-def reference_estimate_loadings(Y, designs, core, g_loadings, identity_modes=()):
+def reference_estimate_loadings(Y, designs, core, g_loadings):
     """Full loadings with one contraction of Y per mode."""
     scales = np.sqrt(np.asarray(Y.shape, dtype=float))
     units = [g / s for g, s in zip(g_loadings, scales)]
     a_loadings = []
     for m in range(Y.ndim):
-        if m in identity_modes:
-            a_loadings.append(np.eye(Y.shape[m]))
-            continue
         gram = matricize(core, m) @ matricize(core, m).T
         mats = {j: units[j].T for j in range(Y.ndim) if j != m}
         numer = matricize(multi_mode_product(Y, mats), m) @ matricize(core, m).T
@@ -499,24 +481,12 @@ def reference_estimate_loadings(Y, designs, core, g_loadings, identity_modes=())
     return a_loadings
 
 
-@pytest.mark.parametrize("identity", [False, True])
-def test_estimate_loadings_matches_per_mode_reference(identity):
+def test_estimate_loadings_matches_per_mode_reference():
     inst, designs = inspan_instance(dims=(20, 24, 10), seed=22, alpha=0.5)
-    identity_modes = ()
-    if identity:
-        designs[2] = None
-        identity_modes = (2,)
-    fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2),
-                    identity_modes=identity_modes)
-    # the inputs fit_stefa passes: the identity scale not yet folded into
-    # the core, and sqrt(I) times the identity as the identity mode's loading
-    core, g = fit.core, list(fit.g_loadings)
-    for m in identity_modes:
-        core = core / np.sqrt(inst.observed.shape[m])
-        g[m] = np.sqrt(inst.observed.shape[m]) * g[m]
-    a, _, _ = estimate_loadings(inst.observed, designs, core, g, identity_modes)
-    ref = reference_estimate_loadings(inst.observed, designs, core, g,
-                                      identity_modes)
+    fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
+    core, g = fit.core, fit.g_loadings
+    a, _, _ = estimate_loadings(inst.observed, designs, core, g)
+    ref = reference_estimate_loadings(inst.observed, designs, core, g)
     for m in range(3):
         assert np.allclose(a[m], ref[m], rtol=0.0, atol=1e-12)
         assert np.allclose(a[m], fit.a_loadings[m], rtol=0.0, atol=1e-12)
@@ -530,44 +500,6 @@ def test_estimate_core_shapes():
     assert core.shape == (2, 2, 2)
     with pytest.raises(ValueError):
         estimate_core(y, [np.ones((5, 2))] + gs[1:])
-
-
-def test_identity_mode():
-    inst, designs = inspan_instance(dims=(20, 20, 10), seed=9)
-    designs = [designs[0], designs[1], None]
-    fit = fit_stefa(inst.signal, designs, ranks=(2, 2, 2), identity_modes=(2,))
-    assert fit.ranks == (2, 2, 10)
-    assert np.array_equal(fit.a_loadings[2], np.eye(10))
-    recon = fit.reconstruct()
-    assert np.linalg.norm(recon - inst.signal) <= 1e-6 * np.linalg.norm(inst.signal)
-    with pytest.raises(ValueError):
-        fit_stefa(inst.signal, [designs[0], designs[1], designs[0]],
-                  ranks=(2, 2, 2), identity_modes=(2,))
-
-
-@pytest.mark.parametrize("ranks", [None, (3, 4, 1), (3, 3, 12)])
-def test_identity_mode_counts_at_its_extent(ranks):
-    # the identity mode's extent 12 exceeds the product of the other ranks;
-    # its entry in ranks is ignored and it enters the others' products at 12
-    inst = generate(SimConfig(dims=(60, 60, 12), rank=3, alpha=0.7, j_star=4,
-                              seed=3))
-    designs = [build_design(X, BasisSpec(degree=4)) for X in inst.covariates[:2]]
-    fit = fit_stefa(inst.observed, designs + [None], ranks=ranks,
-                    identity_modes=(2,))
-    assert fit.ranks[2] == 12
-    if ranks is not None:
-        assert fit.ranks[:2] == ranks[:2]
-    assert fit.core.shape == fit.ranks
-    assert np.array_equal(fit.a_loadings[2], np.eye(12))
-
-
-def test_every_mode_an_identity_mode_is_rejected():
-    y = np.random.default_rng(0).standard_normal((4, 5, 6))
-    for ranks in ((1, 1, 1), None):
-        with pytest.raises(ValueError, match="every mode is an identity mode"):
-            fit_stefa(y, None, ranks=ranks, identity_modes=(0, 1, 2))
-    with pytest.raises(ValueError, match="every mode is an identity mode"):
-        ipsvd_iterate(y, None, (1, 1, 1), identity_modes=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +541,7 @@ def test_auto_ranks_are_valid_tucker_ranks():
     designs = [build_design(X, BasisSpec(degree=4)) for X in inst.covariates]
     ranks, profiles = estimate_ranks(inst.observed, designs, return_profile=True)
     assert [int(np.sum(p > 1.0)) for p in profiles] == [2, 1, 1]
-    assert (_check_ranks(inst.observed.shape, [None] * 3, ranks, ())
+    assert (_check_ranks(inst.observed.shape, [None] * 3, ranks)
             == ranks == (1, 1, 1))
     assert fit_stefa(inst.observed, designs).ranks == ranks
 
