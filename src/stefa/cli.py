@@ -84,18 +84,24 @@ def _parse_covariate_args(args_list, order) -> list:
     return paths
 
 
-def _build_designs(cov_paths, spec, dims):
+def _read_inputs(args):
+    """``(Y, designs, inputs)`` of ``fit`` and ``ranks``: the ``--tensor``
+    array, one sieve design per mode (None for a mode without
+    ``--covariates``) and the paths of the files read."""
+    Y = read_tns(args.tensor)
+    cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
+    spec = _parse_basis(args.basis)
     designs = []
     for m, path in enumerate(cov_paths):
         if path is None:
             designs.append(None)
             continue
         X, _ = read_covariates_csv(path)
-        if X.shape[0] != dims[m]:
+        if X.shape[0] != Y.shape[m]:
             raise ValueError(f"covariates for mode {m + 1} have {X.shape[0]} "
-                             f"rows, tensor extent is {dims[m]}")
+                             f"rows, tensor extent is {Y.shape[m]}")
         designs.append(build_design(X, spec))
-    return designs
+    return Y, designs, [args.tensor] + [p for p in cov_paths if p]
 
 
 def _parse_ranks(text, order):
@@ -118,15 +124,11 @@ def _parse_ranks(text, order):
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    Y = read_tns(args.tensor)
-    cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
-    spec = _parse_basis(args.basis)
-    designs = _build_designs(cov_paths, spec, Y.shape)
+    Y, designs, inputs = _read_inputs(args)
     ranks = _parse_ranks(args.ranks, Y.ndim)
     fit = fit_stefa(Y, designs, ranks=ranks, max_iter=args.max_iter,
                     tol=args.tol)
     save_fit(fit, designs, args.out)
-    inputs = [args.tensor] + [p for p in cov_paths if p]
     timings = dict(fit.diagnostics["timings"], total=time.perf_counter() - t0)
     _write_manifest(args.out, "fit", _options_dict(args), inputs, None,
                     timings)
@@ -138,10 +140,7 @@ def cmd_fit(args) -> int:
 
 def cmd_ranks(args) -> int:
     t0 = time.perf_counter()
-    Y = read_tns(args.tensor)
-    cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
-    spec = _parse_basis(args.basis)
-    designs = _build_designs(cov_paths, spec, Y.shape)
+    Y, designs, inputs = _read_inputs(args)
     ranks, profiles = estimate_ranks(Y, designs, k_max=args.kmax,
                                      return_profile=True)
     print(" ".join(str(r) for r in ranks))
@@ -150,7 +149,6 @@ def cmd_ranks(args) -> int:
         for k, ratio in enumerate(prof, start=1):
             print(f"{m + 1},{k},{ratio:.12g}")
     if args.out:
-        inputs = [args.tensor] + [p for p in cov_paths if p]
         _write_manifest(args.out, "ranks", _options_dict(args), inputs,
                         None, {"total": time.perf_counter() - t0})
     return EXIT_OK

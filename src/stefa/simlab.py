@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -295,82 +295,54 @@ def loss_remse(s_hat: np.ndarray, s_true: np.ndarray, squared: bool = False,
 # ---------------------------------------------------------------------------
 # experiment protocols
 
+_CONFIG_FIELDS = {f.name for f in fields(SimConfig)}
+
+
+def _cell(label, dims, fit_degree=4, score=None, **params):
+    """One grid cell of extents ``dims`` at rank 3.  Keywords that name a
+    :class:`SimConfig` field go into ``config``, whose other fields keep their
+    defaults; any other keyword (``methods``, ``amplifier``) is a key of the
+    cell.  ``score`` defaults to :func:`_score_fit`."""
+    config = {"dims": dims, "rank": 3}
+    cell = {"label": label, "config": config, "fit_degree": fit_degree,
+            "score": score or _score_fit}
+    for key, value in params.items():
+        (config if key in _CONFIG_FIELDS else cell)[key] = value
+    return cell
+
+
 def _protocol_table1(scheme="additive"):
-    cells = []
-    for alpha in (0.1, 0.3, 0.5):
-        for extent in (100, 200, 300):
-            cells.append({
-                "label": f"alpha={alpha},I={extent}",
-                "config": {"dims": (extent,) * 3, "rank": 3, "alpha": alpha,
-                           "j_star": 4, "tau_gamma": 0.0, "scheme": scheme},
-                "fit_degree": 4,
-                "methods": ("ipsvd", "hooi"),
-                "score": _score_fit,
-            })
-    return cells
+    return [_cell(f"alpha={alpha},I={extent}", (extent,) * 3, alpha=alpha,
+                  scheme=scheme, methods=("ipsvd", "hooi"))
+            for alpha in (0.1, 0.3, 0.5) for extent in (100, 200, 300)]
 
 
 def _protocol_j_sweep():
-    cells = []
-    for alpha in (0.3, 0.5):
-        for degree in (2, 4, 8, 16):
-            cells.append({
-                "label": f"alpha={alpha},J={degree}",
-                # slower coefficient decay than the default so the true
-                # degree-16 functions keep real energy beyond low orders,
-                # making the under/over-smoothing trade-off visible
-                "config": {"dims": (200,) * 3, "rank": 3, "alpha": alpha,
-                           "j_star": 16, "kappa": 0.75, "tau_gamma": 0.0,
-                           "scheme": "additive"},
-                "fit_degree": degree,
-                "methods": ("ipsvd",),
-                "score": _score_fit,
-            })
-    return cells
+    # slower coefficient decay than the default so the true degree-16
+    # functions keep real energy beyond low orders, making the
+    # under/over-smoothing trade-off visible
+    return [_cell(f"alpha={alpha},J={degree}", (200,) * 3, fit_degree=degree,
+                  alpha=alpha, j_star=16, kappa=0.75, methods=("ipsvd",))
+            for alpha in (0.3, 0.5) for degree in (2, 4, 8, 16)]
 
 
 def _protocol_gamma_sweep():
-    cells = []
-    for tau in (0.0, 0.01, 0.1, 1.0):
-        cells.append({
-            "label": f"tau={tau}",
-            "config": {"dims": (200,) * 3, "rank": 3, "alpha": 0.5,
-                       "j_star": 4, "tau_gamma": tau, "scheme": "additive"},
-            "fit_degree": 4,
-            "methods": ("ipsvd",),
-            "score": _score_fit,
-        })
-    return cells
+    return [_cell(f"tau={tau}", (200,) * 3, tau_gamma=tau, methods=("ipsvd",))
+            for tau in (0.0, 0.01, 0.1, 1.0)]
 
 
 def _protocol_unbalanced():
-    cells = []
-    for alpha in (0.3, 0.5):
-        for dims in ((100, 100, 200), (100, 100, 400),
-                     (100, 200, 200), (100, 200, 400)):
-            cells.append({
-                "label": f"alpha={alpha},dims={dims[0]}x{dims[1]}x{dims[2]}",
-                "config": {"dims": dims, "rank": 3, "alpha": alpha,
-                           "j_star": 4, "tau_gamma": 0.0, "scheme": "additive"},
-                "fit_degree": 4,
-                "methods": ("ipsvd", "hooi"),
-                "score": _score_fit,
-            })
-    return cells
+    return [_cell(f"alpha={alpha},dims={'x'.join(map(str, dims))}", dims,
+                  alpha=alpha, methods=("ipsvd", "hooi"))
+            for alpha in (0.3, 0.5)
+            for dims in ((100, 100, 200), (100, 100, 400),
+                         (100, 200, 200), (100, 200, 400))]
 
 
 def _protocol_noise_amplify():
-    cells = []
-    for amp in (0.0, 0.5, 1.0, 2.0):
-        cells.append({
-            "label": f"amplifier={amp}",
-            "config": {"dims": (50,) * 3, "rank": 3, "alpha": 0.5,
-                       "j_star": 4, "tau_gamma": 0.0, "scheme": "additive"},
-            "fit_degree": 4,
-            "amplifier": amp,
-            "score": _score_noise_amplify,
-        })
-    return cells
+    return [_cell(f"amplifier={amp}", (50,) * 3, amplifier=amp,
+                  score=_score_noise_amplify)
+            for amp in (0.0, 0.5, 1.0, 2.0)]
 
 
 PROTOCOLS = {

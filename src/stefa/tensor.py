@@ -31,6 +31,7 @@ written file are identical for any number of chunks.
 
 from __future__ import annotations
 
+import math
 import mmap
 import multiprocessing
 import os
@@ -94,7 +95,7 @@ def tensorize(mat: np.ndarray, mode: int, dims) -> np.ndarray:
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} out of range for dims {dims}")
     rest = [d for i, d in enumerate(dims) if i != mode]
-    expected = (dims[mode], int(np.prod(rest, dtype=np.int64)))
+    expected = (dims[mode], math.prod(rest))
     if mat.shape != expected:
         raise ValueError(f"matrix shape {mat.shape} does not match mode-{mode} "
                          f"unfolding {expected} of dims {dims}")
@@ -309,7 +310,7 @@ def read_tns(path) -> np.ndarray:
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     with mm:
         dims, start = _read_header(mm, path)
-        count = int(np.prod(dims, dtype=np.int64))
+        count = math.prod(dims)
         n = _workers(count)
         size = len(mm)
         cuts = [start]

@@ -266,6 +266,20 @@ def test_fit_on_overflowing_tensor_is_numeric_error(tmp_path, capsys):
                        "overflows; rescale it\n")
 
 
+@pytest.mark.parametrize("extent, values", [(2 ** 32, ""), (3037000500, "1\n")])
+def test_tensor_header_beyond_int64_counts_exactly(tmp_path, capsys, extent,
+                                                   values):
+    # extent ** 2 is 2**64 or just above 2**63: a 64-bit count would wrap
+    path = tmp_path / "huge.tns"
+    path.write_text(f"2\n{extent} {extent}\n{values}")
+    for command in (["fit", "--out", str(tmp_path / "fit")], ["ranks"]):
+        code = main([*command, "--tensor", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: {path}: expected {extent ** 2} values, "
+                       f"found {len(values.split())}\n")
+
+
 def test_predict_without_covariates_is_numeric_error(workdir, capsys):
     root, _ = workdir
     code = main(["predict", "--fit", str(root / "fit_plain"),

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from stefa.simlab import (PROTOCOLS, SimConfig, generate, loss_function,
-                          loss_function_best_linear, loss_remse, loss_subspace,
-                          noise_amplify_refit, run_experiment)
+from stefa.simlab import (PROTOCOLS, SimConfig, _score_fit, generate,
+                          loss_function, loss_function_best_linear, loss_remse,
+                          loss_subspace, noise_amplify_refit, run_experiment)
 from stefa.tensor import multi_mode_product
 
 
@@ -190,6 +190,13 @@ def test_protocol_grids_are_well_formed():
         for cell in grid:
             assert "config" in cell and "fit_degree" in cell
             assert callable(cell["score"])
+            assert {"dims", "rank"} <= set(cell["config"])
+            config = SimConfig(**cell["config"])
+            assert config.dims == cell["config"]["dims"]
+            if cell["score"] is _score_fit:
+                assert "methods" in cell and "ipsvd" in cell["methods"]
+            if name == "noise_amplify":
+                assert "amplifier" in cell and "methods" not in cell
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

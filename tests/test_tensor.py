@@ -52,6 +52,9 @@ def test_tensorize_inverse():
 def test_tensorize_shape_mismatch():
     with pytest.raises(ValueError):
         tensorize(np.zeros((2, 11)), 0, (2, 3, 4))
+    # 2**32 * 2**32 wraps to 0 in 64 bits; the exact count rejects (2, 0)
+    with pytest.raises(ValueError, match=r"unfolding \(2, 18446744073709551616\)"):
+        tensorize(np.zeros((2, 0)), 0, (2, 2 ** 32, 2 ** 32))
 
 
 @settings(deadline=None, max_examples=25)
