@@ -628,7 +628,7 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     # mode can exceed the product of the others, and capping it there keeps
     # the rest valid
     for m in range(len(shape)):
-        others = int(np.prod(ranks[:m] + ranks[m + 1:], dtype=np.int64))
+        others = math.prod(ranks[:m] + ranks[m + 1:])
         ranks[m] = min(ranks[m], others)
     ranks = tuple(ranks)
     return (ranks, profiles) if return_profile else ranks

@@ -355,8 +355,7 @@ PROTOCOLS = {
 }
 
 
-# values in one mode-0 row block of the noise draw and of a scored
-# reconstruction: about 1 MB
+# values in one mode-0 row block of the noise draw: about 1 MB
 _BLOCK_VALUES = 1 << 17
 
 
@@ -368,29 +367,19 @@ def _row_slices(dims):
         yield slice(start, min(start + step, dims[0]))
 
 
-def _row_blocks(core, loadings):
-    """Yield ``(rows, core x_0 loadings[0][rows] x_1 loadings[1] x_2 ...)``
-    over the row slices of :func:`_row_slices`, so the Tucker reconstruction
-    is never formed whole."""
-    for rows in _row_slices([a.shape[0] for a in loadings]):
-        yield rows, multi_mode_product(core, [loadings[0][rows], *loadings[1:]])
-
-
 def _squared_errors(truth, estimates):
     """``(errors, norm)``: ``||S_hat - S||^2`` for each Tucker reconstruction
-    in ``estimates`` and ``||S||^2``, where ``truth`` and each estimate are
-    ``(core, loadings)`` pairs.  One pass over mode-0 row blocks (see
-    :func:`_row_blocks`) holds at most three blocks at a time."""
-    streams = [_row_blocks(*e) for e in estimates]
-    errors = np.zeros(len(estimates))
-    norm = 0.0
-    for _, s in _row_blocks(*truth):
-        norm += float(np.vdot(s, s))
-        for i, stream in enumerate(streams):
-            _, b = next(stream)
-            b -= s
-            errors[i] += float(np.vdot(b, b))
-    return errors, norm
+    in ``estimates`` and ``||S||^2``; ``truth`` and each estimate are ``(core,
+    loadings)`` pairs.  Q_m has orthonormal columns spanning every pair's
+    mode-m loadings F_m, so Q_m Q_m^T F_m = F_m and each reconstruction has
+    the norms of its small coordinate core ``core x_m Q_m^T F_m``."""
+    pairs = [truth, *estimates]
+    bases = [np.linalg.qr(np.hstack([f[m] for _, f in pairs]))[0]
+             for m in range(len(truth[1]))]
+    s, *coords = [multi_mode_product(core, [q.T @ f for q, f in zip(bases, fs)])
+                  for core, fs in pairs]
+    errors = np.array([float(np.vdot(c - s, c - s)) for c in coords])
+    return errors, float(np.vdot(s, s))
 
 
 def _score_fit(inst: SimInstance, cell: dict) -> dict:
@@ -401,9 +390,10 @@ def _score_fit(inst: SimInstance, cell: dict) -> dict:
     its loading subspaces, its first loading functions, whether it converged
     (1.0 or 0.0, so a cell's mean is the share of converged replications) and
     the relative reconstruction errors ``remse`` (against the signal) and
-    ``remse_obs`` (normed by the observation).  These are summed over row
-    blocks of the Tucker factors of the fits and the truth, in one pass after
-    both fits, so besides the observation no tensor of its size is formed.
+    ``remse_obs`` (normed by the observation).  These come from the Tucker
+    cores and loadings of the fits and the truth (see
+    :func:`_squared_errors`), so besides the observation no tensor of its
+    size is formed.
     """
     spec = BasisSpec(degree=cell["fit_degree"])
     designs = [build_design(X, spec) for X in inst.covariates]

@@ -77,8 +77,7 @@ def _check_mode(t: np.ndarray, mode: int) -> None:
 def _split_at(shape, mode) -> tuple[int, int, int]:
     """(P, I_mode, Q): the extents before, at and after ``mode``, so that a
     C-contiguous tensor reshapes to (P, I_mode, Q) without a copy."""
-    return (int(np.prod(shape[:mode], dtype=np.int64)), shape[mode],
-            int(np.prod(shape[mode + 1:], dtype=np.int64)))
+    return math.prod(shape[:mode]), shape[mode], math.prod(shape[mode + 1:])
 
 
 def matricize(t: np.ndarray, mode: int) -> np.ndarray:
@@ -311,8 +310,10 @@ def read_tns(path) -> np.ndarray:
     with mm:
         dims, start = _read_header(mm, path)
         count = math.prod(dims)
-        n = _workers(count)
         size = len(mm)
+        # k values take at least 2k - 1 bytes, so a header cannot start more
+        # workers than its value bytes can feed
+        n = _workers(min(count, (size - start + 1) // 2))
         cuts = [start]
         for i in range(1, n):
             space = _SPACE_BYTE.search(mm, max(start + (size - start) * i // n,

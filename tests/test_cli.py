@@ -267,9 +267,17 @@ def test_fit_on_overflowing_tensor_is_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extent, values", [(2 ** 32, ""), (3037000500, "1\n")])
-def test_tensor_header_beyond_int64_counts_exactly(tmp_path, capsys, extent,
-                                                   values):
-    # extent ** 2 is 2**64 or just above 2**63: a 64-bit count would wrap
+def test_tensor_header_beyond_int64_counts_exactly(tmp_path, capsys,
+                                                   monkeypatch, extent, values):
+    # extent ** 2 is 2**64 or just above 2**63: a 64-bit count would wrap.
+    # The value bytes hold at most one value, so even with two CPUs the
+    # parse starts no worker process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(stefa.tensor.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(stefa.tensor, "ProcessPoolExecutor", no_pool)
     path = tmp_path / "huge.tns"
     path.write_text(f"2\n{extent} {extent}\n{values}")
     for command in (["fit", "--out", str(tmp_path / "fit")], ["ranks"]):

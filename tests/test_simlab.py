@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from stefa.simlab import (PROTOCOLS, SimConfig, _score_fit, generate,
-                          loss_function, loss_function_best_linear, loss_remse,
-                          loss_subspace, noise_amplify_refit, run_experiment)
+from stefa.simlab import (PROTOCOLS, SimConfig, _score_fit, _squared_errors,
+                          generate, loss_function, loss_function_best_linear,
+                          loss_remse, loss_subspace, noise_amplify_refit,
+                          run_experiment)
 from stefa.tensor import multi_mode_product
 
 
@@ -266,7 +267,7 @@ def test_noise_amplify_refit_monotone():
 
 
 # ---------------------------------------------------------------------------
-# block-scored reconstruction errors
+# reconstruction errors scored from Tucker factors
 
 @pytest.mark.parametrize("dims, block", [((30, 30, 30), 7 * 30 * 30),
                                          ((13, 10, 10, 10), 3 * 10 * 10 * 10)])
@@ -295,6 +296,49 @@ def test_block_scored_remse_matches_dense_loss_remse(monkeypatch, dims, block):
     assert metrics[("hooi", "converged")] == float(h.converged)
 
 
+def test_scored_remse_of_fits_at_other_ranks_matches_dense_norms():
+    from stefa.estimator import fit_stefa, hooi
+    from stefa.sieve import BasisSpec, build_design
+    # estimates whose ranks differ from the truth's (2, 2, 2) and each other's
+    inst = generate(small_config(dims=(30, 25, 20), seed=10))
+    designs = [build_design(X, BasisSpec(degree=3)) for X in inst.covariates]
+    fit = fit_stefa(inst.observed, designs, ranks=(4, 3, 2))
+    h = hooi(inst.observed, (2, 2, 4))
+    errors, norm = _squared_errors(
+        (inst.core, inst.a_loadings),
+        [(fit.core, fit.g_loadings), (h.core, h.loadings)])
+    for error, s_hat in zip(errors, (fit.reconstruct_g(), h.reconstruct())):
+        want = loss_remse(s_hat, inst.signal, squared=True)
+        assert abs(error / norm - want) <= 1e-12 * want
+    assert abs(norm - np.vdot(inst.signal, inst.signal)) <= 1e-12 * norm
+
+
+def test_scored_errors_of_non_orthonormal_tucker_pairs_match_dense_norms():
+    # three pairs of ranks 3, 2 and 4 stack 9 columns per mode, more than
+    # the extents 4, 7 and 6
+    rng = np.random.default_rng(11)
+    dims = (4, 7, 6)
+    pairs = [(rng.standard_normal((r,) * 3),
+              [rng.standard_normal((d, r)) * 10.0 ** rng.integers(-2, 3)
+               for d in dims]) for r in (3, 2, 4)]
+    truth, *estimates = pairs
+    s = multi_mode_product(*truth)
+    errors, norm = _squared_errors(truth, estimates)
+    assert abs(norm - np.vdot(s, s)) <= 1e-12 * norm
+    for error, (core, loadings) in zip(errors, estimates):
+        diff = multi_mode_product(core, loadings) - s
+        want = np.vdot(diff, diff)
+        assert abs(error - want) <= 1e-12 * want
+
+
+def test_truth_scored_against_itself_has_zero_error():
+    inst = generate(small_config(seed=15))
+    truth = (inst.core, inst.a_loadings)
+    errors, norm = _squared_errors(truth, [truth, truth])
+    assert errors.tolist() == [0.0, 0.0]
+    assert norm > 0.0
+
+
 def test_table1_replications_hold_under_two_observation_sizes():
     import tracemalloc
     kw = dict(seed=4, cells=["alpha=0.5,I=100"])
@@ -306,7 +350,7 @@ def test_table1_replications_hold_under_two_observation_sizes():
     finally:
         tracemalloc.stop()
     # one observation is alive at a time and scoring forms no other tensor
-    # of its size (about 1.4); a draw still held while the next one is drawn
+    # of its size (about 1.24); a draw still held while the next one is drawn
     # peaked at 2.14, and scoring by dense reconstructions at 4.0
     assert peak < 2 * 100 ** 3 * 8
 
