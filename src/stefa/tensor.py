@@ -298,10 +298,12 @@ def read_tns(path) -> np.ndarray:
     values in canonical (C, last-index-fastest) order; header tokens are
     separated by ASCII whitespace.  The file is mapped read-only, and its
     value bytes are cut at ASCII whitespace into n = min(CPUs this process
-    may run on, ceil(values / 2**18)) slices of the mapping, each decoded and
-    parsed in one of n forked worker processes (in this process when n == 1,
-    and n is 1 where ``fork`` is not a start method), so this process never
-    holds the file's text.  The array is bit-identical for any n.
+    may run on, ceil(values / 2**18)) slices of the mapping (values counted
+    from the header, or as many as the value bytes can hold if fewer), each
+    decoded and parsed in one of n forked worker processes (in this process
+    when n == 1, and n is 1 where ``fork`` is not a start method), so this
+    process never holds the file's text.  The array is bit-identical for any
+    n.
     """
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:
