@@ -9,8 +9,7 @@ from .prediction import KernelSpec, kernel_weights, predict_stefa, predict_vanil
 from .sieve import (BasisSpec, SieveDesign, build_design, eval_basis,
                     eval_loading_function)
 from .simlab import (SimConfig, SimInstance, generate, loss_function,
-                     loss_remse, loss_subspace, noise_amplify_refit,
-                     run_experiment)
+                     loss_remse, loss_subspace, run_experiment)
 from .tensor import matricize, mode_product, multi_mode_product, tensorize
 
 __all__ = [
@@ -22,6 +21,6 @@ __all__ = [
     "save_fit", "load_fit",
     "KernelSpec", "kernel_weights", "predict_stefa", "predict_vanilla",
     "SimConfig", "SimInstance", "generate", "loss_function", "loss_remse",
-    "loss_subspace", "noise_amplify_refit", "run_experiment",
+    "loss_subspace", "run_experiment",
     "matricize", "tensorize", "mode_product", "multi_mode_product",
 ]

@@ -586,7 +586,7 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     """
     if k_max is not None and not (_is_integer(k_max) and k_max >= 1):
         raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
-    stats, designs = _statistics(Y, designs)
+    stats, _ = _statistics(Y, designs)
     shape = stats.shape
     compressed = stats.compressed
     if not np.any(compressed):
@@ -607,12 +607,8 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
         other = stats.size // shape[m]
         cap = (min(shape[m], other) + 1) // 2
         if k_max is not None:
-            cap = min(cap, int(k_max))
-        structural = min(n, p)
-        d = designs[m]
-        if d is not None:
-            structural = min(structural, d.rank)
-        cap = max(1, min(cap, structural - 1))
+            cap = min(cap, k_max)
+        cap = max(1, min(cap, min(n, p) - 1))
 
         floor = 1e-12 * lam[0] if lam[0] > 0 else 1e-300
         if sigma2 is None:

@@ -37,7 +37,6 @@ __all__ = [
     "loss_function_best_linear",
     "loss_remse",
     "run_experiment",
-    "noise_amplify_refit",
     "PROTOCOLS",
 ]
 
@@ -163,10 +162,11 @@ def generate(config: SimConfig) -> SimInstance:
             xi0 = rng.standard_normal(R)
             xi = rng.standard_normal((D, J, R))
             coeffs = _additive_coeffs(xi0, xi, config.kappa)
-            g_raw = eval_basis(X, true_spec) @ coeffs
+            raw = lambda Xn, c=coeffs: eval_basis(Xn, true_spec) @ c
         else:
             xi = rng.standard_normal((D, J + 1, R))
-            g_raw = _multiplicative_raw(X, xi, config.kappa)
+            raw = lambda Xn, xi=xi: _multiplicative_raw(Xn, xi, config.kappa)
+        g_raw = raw(X)
 
         q, r_up = np.linalg.qr(g_raw)
         diag = np.diag(r_up)
@@ -191,18 +191,11 @@ def generate(config: SimConfig) -> SimInstance:
         sa = np.where(np.diag(ra) < 0, -1.0, 1.0)
         a = qa * sa
 
-        if config.scheme == "additive":
-            def fun(Xn, coeffs=coeffs, mix=mix, spec=true_spec):
-                return eval_basis(np.atleast_2d(Xn), spec) @ coeffs @ mix
-        else:
-            def fun(Xn, xi=xi, mix=mix, kappa=config.kappa):
-                return _multiplicative_raw(np.atleast_2d(Xn), xi, kappa) @ mix
-
         a_list.append(a)
         g_list.append(g_unit)
         gamma_list.append(gamma)
         x_list.append(X)
-        fun_list.append(fun)
+        fun_list.append(lambda Xn, raw=raw, mix=mix: raw(np.atleast_2d(Xn)) @ mix)
 
     # the noise is added to the signal in mode-0 row blocks: consecutive
     # draws continue the stream of one whole-tensor draw, so the observation
@@ -232,23 +225,21 @@ def loss_subspace(a_hat: np.ndarray, a_true: np.ndarray) -> float:
     return subspace_distance(a_hat, a_true)
 
 
-def _loss_grid(n_covariates: int, domain, grid_n):
-    if grid_n is None:
-        grid_n = int(np.ceil(10_000 ** (1.0 / n_covariates)))
-    lo, hi = domain
-    axes = [np.linspace(lo, hi, grid_n)] * n_covariates
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _loss_grid(n_covariates: int) -> np.ndarray:
+    """About 10 000 points of a regular grid on the unit cube."""
+    axis = np.linspace(0.0, 1.0, int(np.ceil(10_000 ** (1.0 / n_covariates))))
+    mesh = np.meshgrid(*[axis] * n_covariates, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def loss_function(g_hat, g_true, n_covariates: int = 2, domain=(0.0, 1.0),
-                  grid_n: int | None = None) -> float:
-    """Relative squared approximation error of a loading function on a grid.
+def loss_function(g_hat, g_true, n_covariates: int = 2) -> float:
+    """Relative squared approximation error of a loading function on a grid
+    of about 10 000 points on the unit cube.
 
     Both arguments are callables mapping (n x D) covariate arrays to length-n
     values.  The loss is sign-aligned: the better of +g_hat and -g_hat counts.
     """
-    pts = _loss_grid(n_covariates, domain, grid_n)
+    pts = _loss_grid(n_covariates)
     h = np.asarray(g_hat(pts), dtype=float).ravel()
     t = np.asarray(g_true(pts), dtype=float).ravel()
     denom = float(np.mean(t ** 2))
@@ -259,11 +250,11 @@ def loss_function(g_hat, g_true, n_covariates: int = 2, domain=(0.0, 1.0),
     return min(plus, minus) / denom
 
 
-def loss_function_best_linear(g_hats, g_true, n_covariates: int = 2,
-                              domain=(0.0, 1.0), grid_n: int | None = None) -> float:
+def loss_function_best_linear(g_hats, g_true, n_covariates: int = 2) -> float:
     """Residual ratio of the true function after least-squares projection
-    onto the span of the estimated loading functions over the grid."""
-    pts = _loss_grid(n_covariates, domain, grid_n)
+    onto the span of the estimated loading functions over the grid of
+    :func:`loss_function`."""
+    pts = _loss_grid(n_covariates)
     H = np.column_stack([np.asarray(g(pts), dtype=float).ravel() for g in g_hats])
     t = np.asarray(g_true(pts), dtype=float).ravel()
     denom = float(np.mean(t ** 2))
@@ -443,37 +434,19 @@ def _score_fit(inst: SimInstance, cell: dict) -> dict:
 
 
 def _score_noise_amplify(inst: SimInstance, cell: dict) -> dict:
-    """``remse_sq`` of both estimators refitted by :func:`noise_amplify_refit`
-    at ``cell["amplifier"]`` around the observation's IP-SVD reconstruction."""
+    """``remse_sq`` of both estimators refitted to ``s_hat + a * (Y - s_hat)``
+    at the amplifier ``a = cell["amplifier"]``, where ``s_hat`` is the IP-SVD
+    reconstruction of the observation ``Y``, and scored against ``s_hat``."""
     designs = [build_design(X, BasisSpec(degree=cell["fit_degree"]))
                for X in inst.covariates]
     ranks = (inst.config.rank,) * len(inst.config.dims)
     s_hat = fit_stefa(inst.observed, designs, ranks=ranks).reconstruct()
-    (row,) = noise_amplify_refit(s_hat, inst.observed - s_hat,
-                                 [cell["amplifier"]], designs, ranks)
-    return {(method, "remse_sq"): row[method] for method in ("ipsvd", "hooi")}
-
-
-def noise_amplify_refit(s_hat: np.ndarray, e_hat: np.ndarray, alphas,
-                        designs=None, ranks=None) -> list:
-    """Refit both estimators on ``s_hat + a * e_hat`` for each amplifier ``a``
-    and report the squared relative reconstruction error against ``s_hat``;
-    ``ranks=None`` refits HOOI at the ranks that :func:`fit_stefa` chose."""
-    s_hat = np.asarray(s_hat, dtype=float)
-    e_hat = np.asarray(e_hat, dtype=float)
-    if s_hat.shape != e_hat.shape:
-        raise ValueError(f"shape mismatch {s_hat.shape} vs {e_hat.shape}")
-    rows = []
-    for a in alphas:
-        Y = s_hat + float(a) * e_hat
-        fit = fit_stefa(Y, designs, ranks=ranks)
-        h = hooi(Y, fit.ranks)
-        rows.append({
-            "amplifier": float(a),
-            "ipsvd": loss_remse(fit.reconstruct(), s_hat, squared=True),
-            "hooi": loss_remse(h.reconstruct(), s_hat, squared=True),
-        })
-    return rows
+    y = s_hat + float(cell["amplifier"]) * (inst.observed - s_hat)
+    fit = fit_stefa(y, designs, ranks=ranks)
+    h = hooi(y, fit.ranks)
+    return {(method, "remse_sq"): loss_remse(est.reconstruct(), s_hat,
+                                             squared=True)
+            for method, est in (("ipsvd", fit), ("hooi", h))}
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,10 @@ def _parse_range(chunk) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text at byte "
                          f"{start + exc.start}") from None
-    return np.array(text.split(), dtype=float)
+    try:
+        return np.array(text.split(), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_tns(path) -> np.ndarray:

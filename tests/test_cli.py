@@ -288,6 +288,18 @@ def test_tensor_header_beyond_int64_counts_exactly(tmp_path, capsys,
                        f"found {len(values.split())}\n")
 
 
+def test_tensor_bad_value_names_the_file(tmp_path, capsys):
+    # a 2x2x2 file is parsed in this process; the message keeps the token
+    path = tmp_path / "bad.tns"
+    path.write_text("3\n2 2 2\n" + "1.0 " * 7 + "1.0x\n")
+    for command in (["fit", "--ranks", "1,1,1", "--out", str(tmp_path / "fit")],
+                    ["ranks"]):
+        code = main([*command, "--tensor", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: could not convert string to float: '1.0x'\n")
+
+
 def test_predict_without_covariates_is_numeric_error(workdir, capsys):
     root, _ = workdir
     code = main(["predict", "--fit", str(root / "fit_plain"),

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from stefa.simlab import (PROTOCOLS, SimConfig, _score_fit, _squared_errors,
-                          generate, loss_function, loss_function_best_linear,
-                          loss_remse, loss_subspace, noise_amplify_refit,
-                          run_experiment)
+from stefa.simlab import (PROTOCOLS, SimConfig, _score_fit,
+                          _score_noise_amplify, _squared_errors, generate,
+                          loss_function, loss_function_best_linear,
+                          loss_remse, loss_subspace, run_experiment)
 from stefa.tensor import multi_mode_product
 
 
@@ -244,43 +244,28 @@ def test_run_experiment_contract_and_determinism(tmp_path):
 
 
 def test_noise_amplify_refit_monotone():
-    cfg = small_config(seed=6)
-    inst = generate(cfg)
-    from stefa.sieve import BasisSpec, build_design
-    designs = [build_design(X, BasisSpec(degree=3)) for X in inst.covariates]
-    from stefa.estimator import fit_stefa
-    base = fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
-    s_hat = base.reconstruct()
-    rows = noise_amplify_refit(s_hat, inst.observed - s_hat,
-                               [0.0, 1.0, 2.0], designs=designs,
-                               ranks=(2, 2, 2))
+    inst = generate(small_config(seed=6))
+    rows = [_score_noise_amplify(inst, {"fit_degree": 3, "amplifier": a})
+            for a in (0.0, 1.0, 2.0)]
     # amplifier 0 refits a noise-free low-rank tensor; amplifier 1 refits the
     # original observation, whose fit is the reference itself
-    assert rows[0]["ipsvd"] <= 1e-10
-    assert rows[1]["ipsvd"] <= 1e-10
-    hooi_errs = [r["hooi"] for r in rows]
+    assert rows[0][("ipsvd", "remse_sq")] <= 1e-10
+    assert rows[1][("ipsvd", "remse_sq")] <= 1e-10
+    hooi_errs = [r[("hooi", "remse_sq")] for r in rows]
     assert hooi_errs[0] <= hooi_errs[1] <= hooi_errs[2]
     for r in rows:
-        assert r["ipsvd"] <= r["hooi"] + 1e-10
-    with pytest.raises(ValueError):
-        noise_amplify_refit(s_hat, s_hat[:10], [1.0])
+        assert r[("ipsvd", "remse_sq")] <= r[("hooi", "remse_sq")] + 1e-10
 
 
 # ---------------------------------------------------------------------------
 # reconstruction errors scored from Tucker factors
 
-@pytest.mark.parametrize("dims, block", [((30, 30, 30), 7 * 30 * 30),
-                                         ((13, 10, 10, 10), 3 * 10 * 10 * 10)])
-def test_block_scored_remse_matches_dense_loss_remse(monkeypatch, dims, block):
-    import stefa.simlab
+@pytest.mark.parametrize("dims", [(30, 30, 30), (13, 10, 10, 10)])
+def test_scored_remse_matches_dense_loss_remse(dims):
     from stefa.estimator import fit_stefa, hooi
     from stefa.sieve import BasisSpec, build_design
-    # row blocks of 7 (3) rows leave a ragged last block of 2 (1) rows
-    monkeypatch.setattr(stefa.simlab, "_BLOCK_VALUES", block)
-    assert dims[0] % (block // int(np.prod(dims[1:]))) != 0
     inst = generate(small_config(dims=dims, seed=9))
-    metrics = stefa.simlab._score_fit(inst, {"fit_degree": 3,
-                                             "methods": ("ipsvd", "hooi")})
+    metrics = _score_fit(inst, {"fit_degree": 3, "methods": ("ipsvd", "hooi")})
     designs = [build_design(X, BasisSpec(degree=3)) for X in inst.covariates]
     fit = fit_stefa(inst.observed, designs, ranks=(2,) * len(dims))
     h = hooi(inst.observed, (2,) * len(dims))

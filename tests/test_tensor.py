@@ -283,13 +283,16 @@ def test_tns_bad_token_in_second_chunk(tmp_path, two_workers, capsys):
     text = path.read_text()
     cut = text.rindex(" ")
     path.write_text(text[:cut] + " 1.0x" + text[text.index("\n", cut):])
-    with pytest.raises(ValueError, match="1.0x"):
+    with pytest.raises(ValueError, match="1.0x") as info:
         read_tns(path)
-    assert main(["fit", "--tensor", str(path), "--ranks", "1,1,1",
-                 "--out", str(tmp_path / "fit")]) == 2
-    err = capsys.readouterr().err
-    assert "1.0x" in err and "Traceback" not in err
-    assert two_workers == [2, 2]
+    assert str(info.value).startswith(f"{path}: ")
+    for command in (["fit", "--ranks", "1,1,1", "--out", str(tmp_path / "fit")],
+                    ["ranks"]):
+        assert main([*command, "--tensor", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: could not convert string to float: "
+                       f"'1.0x'\n")
+    assert two_workers == [2, 2, 2]
 
 
 def test_tns_value_count_checks_with_two_chunks(tmp_path, two_workers):
