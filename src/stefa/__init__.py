@@ -10,7 +10,7 @@ from .sieve import (BasisSpec, SieveDesign, build_design, eval_basis,
                     eval_loading_function)
 from .simlab import (SimConfig, SimInstance, generate, loss_function,
                      loss_remse, loss_subspace, run_experiment)
-from .tensor import matricize, mode_product, multi_mode_product, tensorize
+from .tensor import matricize, mode_product, multi_mode_product
 
 __all__ = [
     "__version__",
@@ -22,5 +22,5 @@ __all__ = [
     "KernelSpec", "kernel_weights", "predict_stefa", "predict_vanilla",
     "SimConfig", "SimInstance", "generate", "loss_function", "loss_remse",
     "loss_subspace", "run_experiment",
-    "matricize", "tensorize", "mode_product", "multi_mode_product",
+    "matricize", "mode_product", "multi_mode_product",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "HooiFit",
     "StefaFit",
     "SieveStats",
-    "orthonormal_basis",
     "subspace_distance",
     "compress",
     "hooi",
@@ -75,7 +74,7 @@ class RankExceedsSpanError(EstimationError):
     """Requested rank exceeds the dimension of the sieve span."""
 
 
-def orthonormal_basis(a: np.ndarray) -> np.ndarray:
+def _orthonormal_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of ``a`` (SVD, rank-revealing)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -91,8 +90,8 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     R is the column count of ``b`` (the reference); a rank-deficient ``a``
     contributes maximal angles for the missing directions.
     """
-    u = orthonormal_basis(a)
-    v = orthonormal_basis(np.atleast_2d(np.asarray(b, dtype=float)))
+    u = _orthonormal_basis(a)
+    v = _orthonormal_basis(np.atleast_2d(np.asarray(b, dtype=float)))
     # sines of the principal angles are the singular values of the residual
     # of v after projection onto span(u); this stays accurate near zero where
     # sqrt(R - ||u^T v||^2) loses half the significant digits
@@ -612,7 +611,10 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
 
         floor = 1e-12 * lam[0] if lam[0] > 0 else 1e-300
         if sigma2 is None:
-            profile = lam[:cap] / np.maximum(lam[1:cap + 1], floor)
+            # a mode of extent 1 has one eigenvalue; the zero after it gives
+            # that mode one ratio, which selects its only rank, 1
+            following = np.append(lam, 0.0)[1:cap + 1]
+            profile = lam[:cap] / np.maximum(following, floor)
             rank = int(np.argmax(profile)) + 1
         else:
             edge = max(sigma2 * (np.sqrt(n) + np.sqrt(p)) ** 2, floor)

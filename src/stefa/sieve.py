@@ -19,7 +19,6 @@ from numpy.polynomial import legendre as npleg
 __all__ = [
     "BasisSpec",
     "SieveDesign",
-    "legendre_eval",
     "build_design",
     "projector_apply",
     "eval_basis",
@@ -29,15 +28,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("legendre", "bspline")
-
-
-def legendre_eval(j: int, u) -> np.ndarray | float:
-    """Legendre polynomial P_j on [-1, 1] (extrapolates polynomially outside)."""
-    if j < 0:
-        raise ValueError("degree must be >= 0")
-    coeffs = np.zeros(j + 1)
-    coeffs[j] = 1.0
-    return npleg.legval(u, coeffs)
 
 
 @dataclass(frozen=True)
@@ -89,8 +79,9 @@ def _to_unit_interval(x: np.ndarray, domain) -> np.ndarray:
 def _univariate_block(u: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """Evaluate the ``degree`` univariate basis functions at mapped points u."""
     if spec.family == "legendre":
-        cols = [legendre_eval(j, u) for j in range(1, spec.degree + 1)]
-        return np.column_stack(cols)
+        # one coefficient column per degree 1..degree; legval is kept over
+        # legvander, whose recurrence rounds differently at high degree
+        return npleg.legval(u, np.eye(spec.degree + 1)[:, 1:]).T
     # cubic B-splines with uniform interior knots on [-1, 1]; scipy is
     # imported here, on first use, so Legendre sieves never load it
     from scipy.interpolate import BSpline
@@ -140,15 +131,12 @@ def projector_apply(design: SieveDesign, mat: np.ndarray) -> np.ndarray:
     return u @ (u.T @ mat)
 
 
-def eval_loading_function(spec: BasisSpec, B: np.ndarray, x: np.ndarray,
-                          n_covariates: int | None = None) -> np.ndarray:
+def eval_loading_function(spec: BasisSpec, B: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate fitted loading functions phi(x)^T B at covariate vector(s) x."""
     B = np.asarray(B, dtype=float)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
-    if n_covariates is not None and X.shape[1] != n_covariates:
-        raise ValueError(f"expected {n_covariates} covariates, got {X.shape[1]}")
     phi = eval_basis(X, spec)
     if B.shape[0] != phi.shape[1]:
         raise ValueError(f"coefficient rows {B.shape[0]} do not match basis "

@@ -44,7 +44,6 @@ import numpy as np
 
 __all__ = [
     "matricize",
-    "tensorize",
     "mode_product",
     "multi_mode_product",
     "mode_gram",
@@ -85,21 +84,6 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     t = np.asarray(t)
     _check_mode(t, mode)
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
-
-
-def tensorize(mat: np.ndarray, mode: int, dims) -> np.ndarray:
-    """Inverse of :func:`matricize`: fold a matrix back into a tensor of shape ``dims``."""
-    mat = np.asarray(mat)
-    dims = tuple(int(d) for d in dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode {mode} out of range for dims {dims}")
-    rest = [d for i, d in enumerate(dims) if i != mode]
-    expected = (dims[mode], math.prod(rest))
-    if mat.shape != expected:
-        raise ValueError(f"matrix shape {mat.shape} does not match mode-{mode} "
-                         f"unfolding {expected} of dims {dims}")
-    t = np.reshape(mat, [dims[mode]] + rest, order="F")
-    return np.moveaxis(t, 0, mode)
 
 
 def mode_product(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
@@ -171,12 +155,7 @@ def fix_signs(u: np.ndarray) -> np.ndarray:
 
 
 def top_left_singular_vectors(mat: np.ndarray, r: int) -> np.ndarray:
-    """Top-``r`` left singular vectors, sign-fixed for deterministic output.
-
-    For very wide matrices the subspace is computed from the (small) Gram
-    matrix instead of a full SVD; the two paths agree on the returned
-    subspace whenever the r-th spectral gap is non-degenerate.
-    """
+    """Top-``r`` left singular vectors, sign-fixed for deterministic output."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ValueError("expected a matrix")
@@ -185,8 +164,6 @@ def top_left_singular_vectors(mat: np.ndarray, r: int) -> np.ndarray:
         raise ValueError(f"rank {r} not in [1, {min(n, p)}]")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    if p > 4 * n:
-        return top_eigenvectors(mat @ mat.T, r)
     u, _, _ = np.linalg.svd(mat, full_matrices=False)
     return fix_signs(u[:, :r])
 

@@ -78,3 +78,28 @@ def test_every_private_module_level_name_is_used():
                 used.add(node.name)
     dead = [f"{module}: {name}" for module, name in defined if name not in used]
     assert not dead, f"private names that nothing uses: {dead}"
+
+
+def test_every_exported_function_is_called():
+    # a function a submodule exports that nothing in the package calls,
+    # other than itself, is a second surface kept only for the tests
+    package = Path(stefa.__file__).resolve().parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    calls.append((path.stem, owner, name))
+    uncalled = []
+    for module in SUBMODULES:
+        exported = set(importlib.import_module(f"stefa.{module}").__all__)
+        tree = ast.parse((package / f"{module}.py").read_text())
+        functions = [node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name in exported]
+        uncalled += [f"{module}: {name}" for name in functions
+                     if not any(callee == name and (caller, owner) != (module, name)
+                                for caller, owner, callee in calls)]
+    assert not uncalled, f"exported functions that nothing calls: {uncalled}"

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import stefa
 from stefa.cli import main
+from stefa.estimator import _check_ranks
 from stefa.sieve import write_covariates_csv
 from stefa.simlab import SimConfig, generate
 from stefa.tensor import read_tns, write_tns
@@ -124,6 +125,24 @@ def test_ranks_command(workdir, capsys):
     assert lines[0] == "2 2 2"
     assert lines[1] == "mode,k,ratio"
     assert len(lines) > 2
+
+
+@pytest.mark.parametrize("shape", [(30, 1, 20), (30, 20, 1)])
+def test_extent_one_mode_without_designs_selects_rank_one(tmp_path, capsys,
+                                                           shape):
+    # that mode's Gram has one eigenvalue, so it has one ratio and one rank
+    y = np.random.default_rng(0).standard_normal(shape)
+    ranks = stefa.estimate_ranks(y)
+    one = shape.index(1)
+    assert ranks[one] == 1
+    assert _check_ranks(shape, [None] * 3, ranks) == ranks
+    assert stefa.fit_stefa(y).ranks == ranks
+    write_tns(tmp_path / "y.tns", y)
+    assert main(["ranks", "--tensor", str(tmp_path / "y.tns")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == " ".join(str(r) for r in ranks)
+    assert lines[1] == "mode,k,ratio"
+    assert sum(line.startswith(f"{one + 1},") for line in lines[2:]) == 1
 
 
 def test_ranks_kmax_and_missing_file(workdir, capsys):

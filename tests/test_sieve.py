@@ -3,29 +3,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stefa.sieve import (BasisSpec, build_design, eval_basis,
-                         eval_loading_function, legendre_eval, projector_apply,
+                         eval_loading_function, projector_apply,
                          read_covariates_csv, write_covariates_csv)
+
+
+def legendre_columns(u, degree):
+    """P_1..P_degree at the points ``u`` of [-1, 1], as ``eval_basis`` columns."""
+    spec = BasisSpec(degree=degree, include_intercept=False, domain=(-1.0, 1.0))
+    return eval_basis(np.reshape(u, (-1, 1)), spec)
 
 
 def test_legendre_closed_forms():
     u = 0.3
-    assert legendre_eval(0, u) == 1.0
-    assert np.isclose(legendre_eval(1, u), u)
-    assert np.isclose(legendre_eval(2, u), (3 * u ** 2 - 1) / 2)
-    assert np.isclose(legendre_eval(3, u), (5 * u ** 3 - 3 * u) / 2)
-    assert np.isclose(legendre_eval(4, u), (35 * u ** 4 - 30 * u ** 2 + 3) / 8)
+    p = legendre_columns(u, 5)[0]
+    assert np.isclose(p[0], u)
+    assert np.isclose(p[1], (3 * u ** 2 - 1) / 2)
+    assert np.isclose(p[2], (5 * u ** 3 - 3 * u) / 2)
+    assert np.isclose(p[3], (35 * u ** 4 - 30 * u ** 2 + 3) / 8)
     # (63u^5 - 70u^3 + 15u)/8 at u = 0.3
-    assert np.isclose(legendre_eval(5, u), 0.345386250, atol=1e-9)
+    assert np.isclose(p[4], 0.345386250, atol=1e-9)
 
 
 def test_legendre_recurrence():
     u = np.linspace(-1, 1, 7)
+    # column j - 1 holds P_j; P_0 = 1 is the intercept
+    p = np.column_stack([np.ones_like(u), legendre_columns(u, 6)])
     for j in range(1, 6):
-        lhs = (j + 1) * legendre_eval(j + 1, u)
-        rhs = (2 * j + 1) * u * legendre_eval(j, u) - j * legendre_eval(j - 1, u)
+        lhs = (j + 1) * p[:, j + 1]
+        rhs = (2 * j + 1) * u * p[:, j] - j * p[:, j - 1]
         assert np.allclose(lhs, rhs, atol=1e-12)
-    with pytest.raises(ValueError):
-        legendre_eval(-1, 0.0)
 
 
 def test_basis_spec_validation():
@@ -48,7 +54,8 @@ def test_eval_basis_columns_are_mapped_legendre():
     for d in range(2):
         for j in range(1, 4):
             col = 1 + d * 3 + (j - 1)
-            assert np.allclose(phi[:, col], legendre_eval(j, 2 * X[:, d] - 1))
+            ref = np.polynomial.legendre.Legendre.basis(j)
+            assert np.allclose(phi[:, col], ref(2 * X[:, d] - 1))
 
 
 def test_eval_basis_rejects_nonfinite():
@@ -140,7 +147,7 @@ def test_eval_loading_function():
     assert single.shape == (3,)
     assert np.allclose(single, out[0])
     with pytest.raises(ValueError):
-        eval_loading_function(spec, B, X, n_covariates=3)
+        eval_loading_function(spec, B, X[:, :1])
     with pytest.raises(ValueError):
         eval_loading_function(spec, B[:5], X)
 
