@@ -478,7 +478,7 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
     for m in range(len(shape)):
         gram = mode_gram(core, m)
         w = eigenvalues_symmetric(gram)
-        if w[-1] < 1e-12 * np.trace(gram):
+        if not w[-1] > 1e-12 * np.trace(gram):
             raise DegenerateCoreError(
                 f"degenerate core (mode {m}): rank may be misspecified")
         others = {j: c for j, c in coords.items() if j != m}
@@ -514,9 +514,9 @@ def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
     covariates for that mode, meaning unprojected updates).  ``ranks=None``
     selects the ranks with :func:`estimate_ranks`: per mode, the count of
     projected-Gram eigenvalues above the noise edge, with the noise variance
-    measured on the complement of the sieve spans (the eigenvalue ratio when
-    no mode has a design).  ``max_iter`` must be an integer >= 1 and ``tol``
-    finite and >= 0; a fit that uses all ``max_iter`` sweeps without a
+    measured on the complement of the sieve spans (on each mode's Gram
+    spectrum when there is no complement).  ``max_iter`` must be an integer
+    >= 1 and ``tol`` finite and >= 0; a fit that uses all ``max_iter`` sweeps without a
     subspace change below ``tol`` carries the flag ``"not converged after N
     sweeps"``.
     """
@@ -554,6 +554,21 @@ def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
 # ---------------------------------------------------------------------------
 # rank selection
 
+def _median_noise_variance(lam, n, p) -> float:
+    """Noise variance of an n x p matrix from the median of its nonzero Gram
+    eigenvalues ``lam``: that median over the Marchenko-Pastur median of ratio
+    min/max, times max(n, p) (Gavish & Donoho, 2014)."""
+    beta = min(n, p) / max(n, p)
+    # x(theta) sweeps the law's support, where its density is
+    # 2 sin(theta)^2 / (pi x) dtheta: smooth, so a midpoint grid integrates it
+    theta = (np.arange(4096) + 0.5) * (np.pi / 4096)
+    x = 1 + beta - 2 * np.sqrt(beta) * np.cos(theta)
+    mass = np.sin(theta) ** 2 / x
+    cdf = np.cumsum(mass) - mass / 2
+    mp_median = np.interp(0.5 * cdf[-1], cdf, x)
+    return float(np.median(lam[:min(n, p)])) / (max(n, p) * mp_median)
+
+
 def estimate_ranks(Y, designs=None, k_max: int | None = None,
                    return_profile: bool = False):
     """Noise-edge rank estimate per mode on the sieve-projected tensor.
@@ -563,25 +578,23 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     contracted with every covariate mode's orthonormal sieve basis.  The
     noise variance is estimated from the energy outside the sieve spans,
     ``sigma2 = (||Y||^2 - ||Z||^2) / (N - |Z|)``, which signal inside the
-    spans does not reach.  The rank of mode m is the number of eigenvalues of
-    the Gram of the n x p matricization Z_(m) above the noise edge
-    ``sigma2 * (sqrt(n) + sqrt(p))^2``, the largest eigenvalue a pure-noise
-    n x p matrix reaches (in the spirit of Onatski, 2010).  The profile holds
-    ``lambda_k / edge``, so the chosen rank is the number of its entries
-    above 1, clamped to at least 1.  A mode whose count exceeds the product
-    of the other modes' ranks gets that product, so the result is a valid
-    Tucker rank.
+    spans does not reach.  When there is no such complement (no mode has a
+    design, or every design spans its whole mode), each mode estimates it from
+    the median eigenvalue of its own Gram (:func:`_median_noise_variance`),
+    which a few signal eigenvalues barely move.  The rank of mode m is the
+    number of eigenvalues of the Gram of the n x p matricization Z_(m) above
+    the noise edge ``sigma2 * (sqrt(n) + sqrt(p))^2``, the largest eigenvalue
+    a pure-noise n x p matrix reaches (in the spirit of Onatski, 2010).  The
+    profile holds ``lambda_k / edge``, so the chosen rank is the number of
+    its entries above 1, clamped to at least 1.  A mode whose count exceeds
+    the product of the other modes' ranks gets that product, so the result
+    is a valid Tucker rank.
 
     The count runs over k up to ``min(I_m, prod I_other) / 2`` (nearest
     integer) and ``k_max`` (None or an integer >= 1), further capped one below
     the structural rank of the projected matricization.  A floor of
-    ``1e-12 * lambda_1`` on the edge makes the noiseless case select the
-    true rank.
-
-    When no mode has a design (or every design spans its whole mode) there is
-    no complement to measure the noise on; the rank is then the eigenvalue
-    ratio argmax ``lambda_k / lambda_{k+1}`` over the same range, with the
-    floor guarding the denominators, and the profile holds those ratios.
+    ``1e-12 * lambda_1`` on the edge (``1e-300`` when the Gram underflows to
+    zero) makes the noiseless case select the true rank.
     """
     if k_max is not None and not (_is_integer(k_max) and k_max >= 1):
         raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
@@ -609,18 +622,11 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
             cap = min(cap, k_max)
         cap = max(1, min(cap, min(n, p) - 1))
 
+        noise = _median_noise_variance(lam, n, p) if sigma2 is None else sigma2
         floor = 1e-12 * lam[0] if lam[0] > 0 else 1e-300
-        if sigma2 is None:
-            # a mode of extent 1 has one eigenvalue; the zero after it gives
-            # that mode one ratio, which selects its only rank, 1
-            following = np.append(lam, 0.0)[1:cap + 1]
-            profile = lam[:cap] / np.maximum(following, floor)
-            rank = int(np.argmax(profile)) + 1
-        else:
-            edge = max(sigma2 * (np.sqrt(n) + np.sqrt(p)) ** 2, floor)
-            profile = lam[:cap] / edge
-            rank = max(1, int(np.count_nonzero(profile > 1.0)))
-        ranks.append(rank)
+        edge = max(noise * (np.sqrt(n) + np.sqrt(p)) ** 2, floor)
+        profile = lam[:cap] / edge
+        ranks.append(max(1, int(np.count_nonzero(profile > 1.0))))
         profiles.append(profile)
     # counts chosen mode by mode can break the Tucker condition; at most one
     # mode can exceed the product of the others, and capping it there keeps

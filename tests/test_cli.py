@@ -285,6 +285,18 @@ def test_fit_on_overflowing_tensor_is_numeric_error(tmp_path, capsys):
                        "overflows; rescale it\n")
 
 
+def test_fit_on_zero_tensor_is_numeric_error(tmp_path, capsys):
+    # with --ranks auto the zero tensor fails before the fit (exit 2); with
+    # given ranks its zero core is degenerate
+    write_tns(tmp_path / "zero.tns", np.zeros((5, 5, 5)))
+    out = tmp_path / "fit"
+    code = main(["fit", "--tensor", str(tmp_path / "zero.tns"),
+                 "--ranks", "1,1,1", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: DegenerateCoreError: ")
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("extent, values", [(2 ** 32, ""), (3037000500, "1\n")])
 def test_tensor_header_beyond_int64_counts_exactly(tmp_path, capsys,
                                                    monkeypatch, extent, values):

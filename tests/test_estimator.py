@@ -335,6 +335,13 @@ def test_degenerate_core_error_on_overspecified_rank():
         fit_stefa(inst.signal, designs, ranks=(3, 3, 3))
 
 
+def test_degenerate_core_error_on_zero_tensor():
+    # the zero core's Gram has trace 0, so its smallest eigenvalue is not
+    # above 1e-12 times the trace either
+    with pytest.raises(DegenerateCoreError):
+        fit_stefa(np.zeros((5, 5, 5)), ranks=(1, 1, 1))
+
+
 def test_iterate_trace_and_convergence():
     inst, designs = inspan_instance(seed=7)
     factors, trace, converged = ipsvd_iterate(inst.signal, designs, (2, 2, 2))
@@ -551,6 +558,49 @@ def test_estimate_ranks_auto_cap_without_designs():
     y = rng.standard_normal((10, 10, 10))
     _, profiles = estimate_ranks(y, None, return_profile=True)
     assert all(len(p) == 5 for p in profiles)    # round(min(10, 100)/2)
+
+
+def test_estimate_ranks_without_designs_finds_the_rank():
+    # alpha=0.9 lies above the detection threshold of the 100 x 10^4
+    # unfolding (alpha > 3/4); sigma2 comes from each mode's median eigenvalue
+    hits = 0
+    for rep in range(20):
+        ss = np.random.SeedSequence(0, spawn_key=(2000, rep))
+        inst = generate(SimConfig(dims=(100, 100, 100), rank=3, alpha=0.9,
+                                  j_star=4, seed=ss))
+        hits += estimate_ranks(inst.observed) == (3, 3, 3)
+    assert hits >= 18
+
+
+@pytest.mark.parametrize("shape", [(100, 100, 100), (50, 50, 50),
+                                   (30, 30, 30), (10, 10, 10), (60, 40, 20)])
+def test_estimate_ranks_pure_noise_without_designs_selects_one(shape):
+    y = np.random.default_rng(0).standard_normal(shape)
+    assert estimate_ranks(y) == (1, 1, 1)
+
+
+def test_estimate_ranks_pure_noise_matrix_selects_one():
+    # (sqrt(n) + sqrt(p))^2 is the asymptotic edge; a 20 x 15 noise matrix
+    # crosses it on a few draws (4 of 100 seeds here), so this asks for a rate
+    ones = sum(estimate_ranks(np.random.default_rng(s).standard_normal((20, 15)))
+               == (1, 1) for s in range(40))
+    assert ones >= 36
+
+
+def test_estimate_ranks_without_designs_keeps_noiseless_rank():
+    inst, _ = inspan_instance(dims=(40, 40, 40), seed=10)
+    assert estimate_ranks(inst.signal) == (2, 2, 2)
+
+
+def test_estimate_ranks_underflowing_gram():
+    # the Gram of a 1e-300-scaled tensor is zero; the 1e-300 edge floor keeps
+    # the profile finite
+    y = np.random.default_rng(0).standard_normal((5, 5, 5)) * 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranks, profiles = estimate_ranks(y, return_profile=True)
+    assert ranks == (1, 1, 1)
+    assert all(np.array_equal(p, np.zeros(len(p))) for p in profiles)
 
 
 def test_estimate_ranks_zero_tensor():
