@@ -104,19 +104,14 @@ def _read_inputs(args):
     return Y, designs, [args.tensor] + [p for p in cov_paths if p]
 
 
-def _parse_ranks(text, order):
+def _parse_ranks(text):
     if text == "auto":
         return None
+    # fit_stefa checks the count and the range of the ranks
     try:
-        ranks = tuple(int(r) for r in text.split(","))
+        return tuple(int(r) for r in text.split(","))
     except ValueError:
         raise ValueError(f"bad --ranks {text!r}") from None
-    if len(ranks) != order:
-        raise ValueError(f"--ranks needs {order} values, got {len(ranks)}")
-    for m, r in enumerate(ranks):
-        if r < 1:
-            raise ValueError(f"rank for mode {m + 1} must be >= 1, got {r}")
-    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +120,7 @@ def _parse_ranks(text, order):
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     Y, designs, inputs = _read_inputs(args)
-    ranks = _parse_ranks(args.ranks, Y.ndim)
+    ranks = _parse_ranks(args.ranks)
     fit = fit_stefa(Y, designs, ranks=ranks, max_iter=args.max_iter,
                     tol=args.tol)
     save_fit(fit, designs, args.out)
@@ -169,8 +164,8 @@ def cmd_predict(args) -> int:
     if args.method == "stefa":
         pred = predict_stefa(fit, designs, X_new, spec, mode=mode)
     elif designs[mode] is None:
-        raise ValueError("vanilla prediction needs training covariates "
-                         f"on mode {args.mode}")
+        raise EstimationError("vanilla prediction requires covariate mode "
+                              f"(mode {args.mode} has none)")
     else:
         pred = predict_vanilla(fit, designs[mode].covariates, X_new, spec,
                                mode=mode)

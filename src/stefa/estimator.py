@@ -171,8 +171,8 @@ def _normalize_designs(designs, order) -> list:
 def _check_design_shapes(Y, designs) -> None:
     for m, d in enumerate(designs):
         if d is not None and d.n_rows != Y.shape[m]:
-            raise ValueError(f"design for mode {m} has {d.n_rows} rows, tensor "
-                             f"extent is {Y.shape[m]}")
+            raise ValueError(f"design for mode {m + 1} has {d.n_rows} rows, "
+                             f"tensor extent is {Y.shape[m]}")
 
 
 def _is_integer(x) -> bool:
@@ -189,22 +189,23 @@ def _check_ranks(dims, designs, ranks) -> tuple:
         raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
     for m, r in enumerate(ranks):
         if not _is_integer(r):
-            raise ValueError(f"rank {r!r} for mode {m} is not an integer")
+            raise ValueError(f"rank {r!r} for mode {m + 1} is not an integer")
     ranks = tuple(int(r) for r in ranks)
     # every range first: the products below then neither overflow nor name
     # an out-of-range rank as the fault of another mode
     for m, (r, dim) in enumerate(zip(ranks, dims)):
         if not 1 <= r <= dim:
-            raise ValueError(f"rank {r} for mode {m} not in [1, {dim}]")
+            raise ValueError(f"rank {r} for mode {m + 1} not in [1, {dim}]")
     for m, r in enumerate(ranks):
         other = math.prod(ranks[:m] + ranks[m + 1:])
         if r > other:
-            raise ValueError(f"rank {r} for mode {m} exceeds product of "
+            raise ValueError(f"rank {r} for mode {m + 1} exceeds product of "
                              f"the other ranks ({other})")
     for m, (r, d) in enumerate(zip(ranks, designs)):
         if d is not None and r > d.rank:
             raise RankExceedsSpanError(
-                f"rank exceeds sieve span (mode {m}: rank {r} > span {d.rank})")
+                f"rank exceeds sieve span (mode {m + 1}: "
+                f"rank {r} > span {d.rank})")
     return ranks
 
 
@@ -336,7 +337,7 @@ def _statistics(Y, designs):
     for m, (b, d) in enumerate(zip(stats.bases, designs)):
         if b is not (None if d is None else d.basis):
             raise ValueError(f"sieve statistics were not compressed with the "
-                             f"design of mode {m}")
+                             f"design of mode {m + 1}")
     return stats, designs
 
 
@@ -428,8 +429,8 @@ def estimate_core(Y, factors) -> np.ndarray:
     stats = Y if isinstance(Y, SieveStats) else compress(Y)
     for m, g in enumerate(factors):
         if g.shape[0] != stats.shape[m]:
-            raise ValueError(f"factor for mode {m} has {g.shape[0]} rows, tensor "
-                             f"extent is {stats.shape[m]}")
+            raise ValueError(f"factor for mode {m + 1} has {g.shape[0]} rows, "
+                             f"tensor extent is {stats.shape[m]}")
     coords = {m: (g if b is None else b.T @ g).T
               for m, (g, b) in enumerate(zip(factors, stats.bases))}
     return multi_mode_product(stats.compressed, coords) / float(stats.size)
@@ -446,7 +447,8 @@ def calibrate(core: np.ndarray, factors):
         w, v = np.linalg.eigh(gram)
         w, v = w[::-1], v[:, ::-1]
         if w.size > 1 and w[0] > 0 and np.min(w[:-1] - w[1:]) < 1e-10 * w[0]:
-            flags.append(f"identification unstable (mode {m} eigenvalue gap)")
+            flags.append(f"identification unstable (mode {m + 1} "
+                         "eigenvalue gap)")
         rotations.append(fix_signs(v))
     new_core = multi_mode_product(core, {m: q.T for m, q in enumerate(rotations)})
     new_factors = [g @ q for g, q in zip(factors, rotations)]
@@ -480,7 +482,7 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
         w = eigenvalues_symmetric(gram)
         if not w[-1] > 1e-12 * np.trace(gram):
             raise DegenerateCoreError(
-                f"degenerate core (mode {m}): rank may be misspecified")
+                f"degenerate core (mode {m + 1}): rank may be misspecified")
         others = {j: c for j, c in coords.items() if j != m}
         contracted = multi_mode_product(stats.leave_one_out[m], others)
         numer = matricize(contracted, m) @ matricize(core, m).T

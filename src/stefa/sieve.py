@@ -22,7 +22,6 @@ __all__ = [
     "build_design",
     "projector_apply",
     "eval_basis",
-    "eval_loading_function",
     "read_covariates_csv",
     "write_covariates_csv",
 ]
@@ -60,7 +59,6 @@ class SieveDesign:
     covariates: np.ndarray          # I x D
     phi: np.ndarray                 # I x J
     basis: np.ndarray = field(repr=False)  # I x rank, orthonormal columns
-    rank: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -69,6 +67,11 @@ class SieveDesign:
     @property
     def n_basis(self) -> int:
         return self.phi.shape[1]
+
+    @property
+    def rank(self) -> int:
+        """Dimension of span(Phi): the column count of ``basis``."""
+        return self.basis.shape[1]
 
 
 def _to_unit_interval(x: np.ndarray, domain) -> np.ndarray:
@@ -118,7 +121,7 @@ def build_design(X: np.ndarray, spec: BasisSpec) -> SieveDesign:
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
     return SieveDesign(spec=spec, covariates=X, phi=phi,
-                       basis=np.ascontiguousarray(u[:, :rank]), rank=rank)
+                       basis=np.ascontiguousarray(u[:, :rank]))
 
 
 def projector_apply(design: SieveDesign, mat: np.ndarray) -> np.ndarray:
@@ -129,20 +132,6 @@ def projector_apply(design: SieveDesign, mat: np.ndarray) -> np.ndarray:
                          f"extent {design.n_rows}")
     u = design.basis
     return u @ (u.T @ mat)
-
-
-def eval_loading_function(spec: BasisSpec, B: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate fitted loading functions phi(x)^T B at covariate vector(s) x."""
-    B = np.asarray(B, dtype=float)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    phi = eval_basis(X, spec)
-    if B.shape[0] != phi.shape[1]:
-        raise ValueError(f"coefficient rows {B.shape[0]} do not match basis "
-                         f"size {phi.shape[1]}")
-    out = phi @ B
-    return out[0] if single else out
 
 
 def read_covariates_csv(path) -> tuple[np.ndarray, list[str]]:

@@ -24,18 +24,15 @@ import numpy as np
 
 from . import __version__
 from .estimator import fit_stefa, hooi, subspace_distance
-from .sieve import (BasisSpec, build_design, eval_basis, eval_loading_function,
-                    projector_apply)
+from .sieve import BasisSpec, build_design, eval_basis, projector_apply
 from .tensor import matricize, multi_mode_product, top_left_singular_vectors
 
 __all__ = [
     "SimConfig",
     "SimInstance",
     "generate",
-    "loss_subspace",
     "loss_function",
     "loss_function_best_linear",
-    "loss_remse",
     "run_experiment",
     "PROTOCOLS",
 ]
@@ -137,9 +134,9 @@ def generate(config: SimConfig) -> SimInstance:
     for m, I in enumerate(dims):
         if true_spec.n_basis(D) > I:
             raise ValueError(f"true basis count {true_spec.n_basis(D)} exceeds "
-                             f"mode-{m} extent {I}")
+                             f"mode-{m + 1} extent {I}")
         if R > I:
-            raise ValueError(f"rank {R} exceeds mode-{m} extent {I}")
+            raise ValueError(f"rank {R} exceeds mode-{m + 1} extent {I}")
 
     rng = np.random.default_rng(config.seed)
 
@@ -213,18 +210,6 @@ def generate(config: SimConfig) -> SimInstance:
 # ---------------------------------------------------------------------------
 # loss metrics
 
-def loss_subspace(a_hat: np.ndarray, a_true: np.ndarray) -> float:
-    """Schatten-2 sin-theta loss between estimated and true column spaces."""
-    a_hat = np.asarray(a_hat, dtype=float)
-    a_true = np.asarray(a_true, dtype=float)
-    if a_hat.shape != a_true.shape:
-        raise ValueError(f"shape mismatch {a_hat.shape} vs {a_true.shape}")
-    s = np.linalg.svd(a_true, compute_uv=False)
-    if s[-1] < 1e-12 * s[0]:
-        raise ValueError("true loading is rank deficient")
-    return subspace_distance(a_hat, a_true)
-
-
 def _loss_grid(n_covariates: int) -> np.ndarray:
     """About 10 000 points of a regular grid on the unit cube."""
     axis = np.linspace(0.0, 1.0, int(np.ceil(10_000 ** (1.0 / n_covariates))))
@@ -263,24 +248,6 @@ def loss_function_best_linear(g_hats, g_true, n_covariates: int = 2) -> float:
     coef, *_ = np.linalg.lstsq(H, t, rcond=None)
     resid = t - H @ coef
     return float(np.mean(resid ** 2)) / denom
-
-
-def loss_remse(s_hat: np.ndarray, s_true: np.ndarray, squared: bool = False,
-               reference: np.ndarray | None = None) -> float:
-    """Relative reconstruction error ||S_hat - S|| / ||ref|| (ref defaults to S).
-
-    ``squared`` returns the ratio of squared norms instead.
-    """
-    s_hat = np.asarray(s_hat, dtype=float)
-    s_true = np.asarray(s_true, dtype=float)
-    if s_hat.shape != s_true.shape:
-        raise ValueError(f"shape mismatch {s_hat.shape} vs {s_true.shape}")
-    ref = s_true if reference is None else np.asarray(reference, dtype=float)
-    denom = float(np.linalg.norm(ref))
-    if denom == 0.0:
-        raise ValueError("reference tensor has zero norm")
-    ratio = float(np.linalg.norm(s_hat - s_true)) / denom
-    return ratio ** 2 if squared else ratio
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +363,16 @@ def _score_fit(inst: SimInstance, cell: dict) -> dict:
     # the regression-based full loading adds an unprojected noise component
     # and is reported separately
     for m in range(len(ranks)):
-        out[("ipsvd", f"l2_a{m + 1}")] = loss_subspace(
+        out[("ipsvd", f"l2_a{m + 1}")] = subspace_distance(
             fit.g_loadings[m], inst.a_loadings[m])
-        out[("ipsvd", f"l2_a{m + 1}_reg")] = loss_subspace(
+        out[("ipsvd", f"l2_a{m + 1}_reg")] = subspace_distance(
             fit.a_loadings[m], inst.a_loadings[m])
     out[("ipsvd", "converged")] = float(fit.converged)
 
     scale = np.sqrt(inst.config.dims[0])
     coeffs = fit.sieve_coeffs[0]
     D = inst.config.n_covariates
-    hats = [lambda x, r=r: eval_loading_function(spec, coeffs[:, r], x) / scale
+    hats = [lambda x, r=r: eval_basis(x, spec) @ coeffs[:, r] / scale
             for r in range(ranks[0])]
     for r in range(ranks[0]):
         true_r = lambda x, r=r: inst.loading_functions[0](x)[:, r]
@@ -419,7 +386,7 @@ def _score_fit(inst: SimInstance, cell: dict) -> dict:
     if "hooi" in cell["methods"]:
         h = hooi(inst.observed, ranks)
         for m in range(len(ranks)):
-            out[("hooi", f"l2_a{m + 1}")] = loss_subspace(
+            out[("hooi", f"l2_a{m + 1}")] = subspace_distance(
                 h.loadings[m], inst.a_loadings[m])
         out[("hooi", "converged")] = float(h.converged)
         estimates["hooi"] = (h.core, h.loadings)
@@ -436,17 +403,21 @@ def _score_fit(inst: SimInstance, cell: dict) -> dict:
 def _score_noise_amplify(inst: SimInstance, cell: dict) -> dict:
     """``remse_sq`` of both estimators refitted to ``s_hat + a * (Y - s_hat)``
     at the amplifier ``a = cell["amplifier"]``, where ``s_hat`` is the IP-SVD
-    reconstruction of the observation ``Y``, and scored against ``s_hat``."""
+    reconstruction of the observation ``Y``, and scored against ``s_hat``
+    from the Tucker parts of the three fits (see :func:`_squared_errors`)."""
     designs = [build_design(X, BasisSpec(degree=cell["fit_degree"]))
                for X in inst.covariates]
     ranks = (inst.config.rank,) * len(inst.config.dims)
-    s_hat = fit_stefa(inst.observed, designs, ranks=ranks).reconstruct()
+    first = fit_stefa(inst.observed, designs, ranks=ranks)
+    s_hat = first.reconstruct()
     y = s_hat + float(cell["amplifier"]) * (inst.observed - s_hat)
     fit = fit_stefa(y, designs, ranks=ranks)
     h = hooi(y, fit.ranks)
-    return {(method, "remse_sq"): loss_remse(est.reconstruct(), s_hat,
-                                             squared=True)
-            for method, est in (("ipsvd", fit), ("hooi", h))}
+    errors, norm = _squared_errors((first.core, first.a_loadings),
+                                   [(fit.core, fit.a_loadings),
+                                    (h.core, h.loadings)])
+    return {(method, "remse_sq"): float(error / norm)
+            for method, error in zip(("ipsvd", "hooi"), errors)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,3 +104,21 @@ def test_every_exported_function_is_called():
                      if not any(callee == name and (caller, owner) != (module, name)
                                 for caller, owner, callee in calls)]
     assert not uncalled, f"exported functions that nothing calls: {uncalled}"
+
+
+def test_readme_imports_name_exported_functions():
+    # a name deleted from a module's __all__ leaves README's examples stale
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\w*\n(.*?)^```", readme.read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    statements = [match for block in blocks for match in re.findall(
+        r"^from stefa\b[\w.]* import (?:\([^)]*\)|.*)$", block,
+        flags=re.MULTILINE)]
+    assert statements, "README shows no import from stefa"
+    stale = []
+    for statement in statements:
+        node = ast.parse(statement).body[0]
+        exported = importlib.import_module(node.module).__all__
+        stale += [f"{node.module}.{alias.name}" for alias in node.names
+                  if alias.name not in exported]
+    assert not stale, f"README imports names that are not exported: {stale}"

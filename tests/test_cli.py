@@ -69,6 +69,19 @@ def test_fit_rejects_nonpositive_rank(workdir, capsys):
     assert "mode 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ranks, message", [
+    ("30,2,2", "rank 30 for mode 1 not in [1, 25]"),
+    ("2,2", "2 ranks given for order-3 tensor")], ids=["extent", "count"])
+def test_fit_rejects_ranks_the_tensor_cannot_hold(workdir, capsys, ranks,
+                                                  message):
+    # the estimator's validator checks CLI ranks and names modes from 1
+    root, _ = workdir
+    code = main(["fit", "--tensor", str(root / "y.tns"), *cov_args(root),
+                 "--ranks", ranks, "--out", str(root / "bad")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_fit_without_covariates_flags_plain_mode(workdir):
     root, _ = workdir
     out = root / "fit_plain"
@@ -331,13 +344,14 @@ def test_tensor_bad_value_names_the_file(tmp_path, capsys):
             f"error: {path}: could not convert string to float: '1.0x'\n")
 
 
-def test_predict_without_covariates_is_numeric_error(workdir, capsys):
+@pytest.mark.parametrize("method", ["stefa", "vanilla"])
+def test_predict_without_covariates_is_numeric_error(workdir, capsys, method):
     root, _ = workdir
     code = main(["predict", "--fit", str(root / "fit_plain"),
                  "--new-covariates", str(root / "x1.csv"),
-                 "--out", str(root / "pred_plain")])
+                 "--method", method, "--out", str(root / "pred_plain")])
     assert code == 3
-    assert "requires covariate mode" in capsys.readouterr().err
+    assert "prediction requires covariate mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["fit", "predict", "fit_dir"])

@@ -103,19 +103,20 @@ def test_tucker_ranks_are_checked_by_hooi_and_fit_stefa():
         assert fit((1, 3, 3)).ranks == (1, 3, 3)
         assert fit((np.int64(2), np.int32(2), 2)).ranks == (2, 2, 2)
         for ranks, message in [
-                ((1, 2, 3), r"rank 3 for mode 2 exceeds product of the other "
+                # modes are named from 1
+                ((1, 2, 3), r"rank 3 for mode 3 exceeds product of the other "
                             r"ranks \(2\)"),
-                ((0, 3, 3), r"rank 0 for mode 0 not in \[1, 5\]"),
-                ((6, 3, 3), r"rank 6 for mode 0 not in \[1, 5\]"),
+                ((0, 3, 3), r"rank 0 for mode 1 not in \[1, 5\]"),
+                ((6, 3, 3), r"rank 6 for mode 1 not in \[1, 5\]"),
                 # every range is checked before any product of ranks
-                ((2, 10 ** 30, 2), rf"rank {10 ** 30} for mode 1 not in \[1, 5\]"),
-                ((2, 2 ** 62, 2 ** 62), r"rank \d+ for mode 1 not in"),
+                ((2, 10 ** 30, 2), rf"rank {10 ** 30} for mode 2 not in \[1, 5\]"),
+                ((2, 2 ** 62, 2 ** 62), r"rank \d+ for mode 2 not in"),
                 ((3, 3), "2 ranks given for order-3 tensor"),
                 # a rank must be an integer, not a value int() would accept
-                ((2.7, 2, 2), r"rank 2\.7 for mode 0 is not an integer"),
-                ((2, "2", 2), r"rank '2' for mode 1 is not an integer"),
-                ((2, 2, np.float64(2.0)), r"for mode 2 is not an integer"),
-                ((True, 1, 1), r"rank True for mode 0 is not an integer")]:
+                ((2.7, 2, 2), r"rank 2\.7 for mode 1 is not an integer"),
+                ((2, "2", 2), r"rank '2' for mode 2 is not an integer"),
+                ((2, 2, np.float64(2.0)), r"for mode 3 is not an integer"),
+                ((True, 1, 1), r"rank True for mode 1 is not an integer")]:
             with pytest.raises(ValueError, match=message):
                 fit(ranks)
 
@@ -299,7 +300,8 @@ def test_calibrate_flags_degenerate_gap():
     core[0, 0, 0] = core[1, 1, 1] = 1.0      # equal mode-Gram eigenvalues
     factors = [np.eye(2)] * 3
     _, _, flags = calibrate(core, factors)
-    assert any("identification unstable" in f for f in flags)
+    assert flags == [f"identification unstable (mode {m} eigenvalue gap)"
+                     for m in (1, 2, 3)]
 
 
 def test_projector_identity_reduces_to_hooi():
@@ -325,7 +327,7 @@ def test_no_designs_runs_hooi_semantics():
 
 def test_rank_exceeds_span_error():
     inst, designs = inspan_instance(dims=(12, 12, 12), degree=1)  # span dim 3
-    with pytest.raises(RankExceedsSpanError):
+    with pytest.raises(RankExceedsSpanError, match=r"\(mode 1: rank 4 > span 3\)"):
         ipsvd_iterate(inst.observed, designs, (4, 2, 2))
 
 

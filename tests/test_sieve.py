@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stefa.sieve import (BasisSpec, build_design, eval_basis,
-                         eval_loading_function, projector_apply,
-                         read_covariates_csv, write_covariates_csv)
+from stefa.estimator import fit_stefa
+from stefa.sieve import (BasisSpec, SieveDesign, build_design, eval_basis,
+                         projector_apply, read_covariates_csv,
+                         write_covariates_csv)
 
 
 def legendre_columns(u, degree):
@@ -136,20 +137,17 @@ def test_projector_apply_row_mismatch():
         projector_apply(d, np.zeros((11, 2)))
 
 
-def test_eval_loading_function():
+def test_design_rank_is_the_span_of_its_basis():
+    # a design assembled from its parts has the span of its basis, so a
+    # fit at a rank inside that span is not refused
     rng = np.random.default_rng(7)
-    X = rng.uniform(size=(15, 2))
-    spec = BasisSpec(degree=3)
-    B = rng.standard_normal((7, 3))
-    out = eval_loading_function(spec, B, X)
-    assert np.allclose(out, eval_basis(X, spec) @ B)
-    single = eval_loading_function(spec, B, X[0])
-    assert single.shape == (3,)
-    assert np.allclose(single, out[0])
-    with pytest.raises(ValueError):
-        eval_loading_function(spec, B, X[:, :1])
-    with pytest.raises(ValueError):
-        eval_loading_function(spec, B[:5], X)
+    built = [build_design(rng.uniform(size=(12, 1)), BasisSpec(degree=3))
+             for _ in range(3)]
+    parts = [SieveDesign(spec=d.spec, covariates=d.covariates, phi=d.phi,
+                         basis=d.basis) for d in built]
+    assert [d.rank for d in parts] == [d.rank for d in built] == [4] * 3
+    y = rng.standard_normal((12, 12, 12))
+    assert fit_stefa(y, parts, ranks=(2, 2, 2)).ranks == (2, 2, 2)
 
 
 def test_covariates_csv_roundtrip(tmp_path):

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from stefa.estimator import fit_stefa, hooi
+from stefa.sieve import BasisSpec, build_design
 from stefa.simlab import (PROTOCOLS, SimConfig, _score_fit,
                           _score_noise_amplify, _squared_errors, generate,
                           loss_function, loss_function_best_linear,
-                          loss_remse, loss_subspace, run_experiment)
+                          run_experiment)
 from stefa.tensor import multi_mode_product
 
 
@@ -134,16 +136,6 @@ def test_loading_functions_reproduce_g_at_training_rows():
 # ---------------------------------------------------------------------------
 # losses
 
-def test_loss_subspace_contract():
-    rng = np.random.default_rng(0)
-    a = np.linalg.qr(rng.standard_normal((12, 2)))[0]
-    assert loss_subspace(a, a) <= 1e-10
-    with pytest.raises(ValueError):
-        loss_subspace(a, a[:, :1] @ np.ones((1, 2)))      # rank deficient
-    with pytest.raises(ValueError):
-        loss_subspace(a[:6], a)
-
-
 def test_loss_function_oracles():
     true = lambda x: np.sin(3 * x[:, 0]) + x[:, 1]
     assert loss_function(true, true) <= 1e-14
@@ -163,20 +155,6 @@ def test_loss_function_best_linear_oracles():
     ortho = lambda x: np.ones(x.shape[0])
     loss = loss_function_best_linear([f1], ortho)
     assert loss > 0.05
-
-
-def test_loss_remse_oracles():
-    rng = np.random.default_rng(1)
-    s = rng.standard_normal((4, 5, 6))
-    assert loss_remse(s, s) == 0.0
-    assert np.isclose(loss_remse(np.zeros_like(s), s), 1.0)
-    assert np.isclose(loss_remse(2 * s, s), 1.0)
-    assert np.isclose(loss_remse(2 * s, s, squared=True), 1.0)
-    assert np.isclose(loss_remse(np.zeros_like(s), s, reference=2 * s), 0.5)
-    with pytest.raises(ValueError):
-        loss_remse(s, np.zeros((4, 5)))
-    with pytest.raises(ValueError):
-        loss_remse(s, s, reference=np.zeros_like(s))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +223,23 @@ def test_run_experiment_contract_and_determinism(tmp_path):
 
 def test_noise_amplify_refit_monotone():
     inst = generate(small_config(seed=6))
+    amplifiers = (0.0, 1.0, 2.0)
     rows = [_score_noise_amplify(inst, {"fit_degree": 3, "amplifier": a})
-            for a in (0.0, 1.0, 2.0)]
+            for a in amplifiers]
+    # the scores from Tucker parts match dense ratios ||S_hat - S||^2 / ||S||^2
+    designs = [build_design(X, BasisSpec(degree=3)) for X in inst.covariates]
+    s_hat = fit_stefa(inst.observed, designs, ranks=(2, 2, 2)).reconstruct()
+    for a, row in zip(amplifiers, rows):
+        y = s_hat + a * (inst.observed - s_hat)
+        fit = fit_stefa(y, designs, ranks=(2, 2, 2))
+        for method, est in (("ipsvd", fit), ("hooi", hooi(y, fit.ranks))):
+            diff = est.reconstruct() - s_hat
+            want = np.vdot(diff, diff) / np.vdot(s_hat, s_hat)
+            got = row[(method, "remse_sq")]
+            if want > 1e-12:
+                assert abs(got - want) <= 1e-12 * want, (a, method)
+            else:
+                assert max(got, want) <= 1e-10, (a, method)
     # amplifier 0 refits a noise-free low-rank tensor; amplifier 1 refits the
     # original observation, whose fit is the reference itself
     assert rows[0][("ipsvd", "remse_sq")] <= 1e-10
@@ -262,18 +255,17 @@ def test_noise_amplify_refit_monotone():
 
 @pytest.mark.parametrize("dims", [(30, 30, 30), (13, 10, 10, 10)])
 def test_scored_remse_matches_dense_loss_remse(dims):
-    from stefa.estimator import fit_stefa, hooi
-    from stefa.sieve import BasisSpec, build_design
     inst = generate(small_config(dims=dims, seed=9))
     metrics = _score_fit(inst, {"fit_degree": 3, "methods": ("ipsvd", "hooi")})
     designs = [build_design(X, BasisSpec(degree=3)) for X in inst.covariates]
     fit = fit_stefa(inst.observed, designs, ranks=(2,) * len(dims))
     h = hooi(inst.observed, (2,) * len(dims))
+    ipsvd_error = np.linalg.norm(fit.reconstruct_g() - inst.signal)
     dense = {
-        ("ipsvd", "remse"): loss_remse(fit.reconstruct_g(), inst.signal),
-        ("ipsvd", "remse_obs"): loss_remse(fit.reconstruct_g(), inst.signal,
-                                           reference=inst.observed),
-        ("hooi", "remse"): loss_remse(h.reconstruct(), inst.signal),
+        ("ipsvd", "remse"): ipsvd_error / np.linalg.norm(inst.signal),
+        ("ipsvd", "remse_obs"): ipsvd_error / np.linalg.norm(inst.observed),
+        ("hooi", "remse"): (np.linalg.norm(h.reconstruct() - inst.signal)
+                            / np.linalg.norm(inst.signal)),
     }
     for key, want in dense.items():
         assert abs(metrics[key] - want) <= 1e-12 * want, key
@@ -282,8 +274,6 @@ def test_scored_remse_matches_dense_loss_remse(dims):
 
 
 def test_scored_remse_of_fits_at_other_ranks_matches_dense_norms():
-    from stefa.estimator import fit_stefa, hooi
-    from stefa.sieve import BasisSpec, build_design
     # estimates whose ranks differ from the truth's (2, 2, 2) and each other's
     inst = generate(small_config(dims=(30, 25, 20), seed=10))
     designs = [build_design(X, BasisSpec(degree=3)) for X in inst.covariates]
@@ -293,7 +283,8 @@ def test_scored_remse_of_fits_at_other_ranks_matches_dense_norms():
         (inst.core, inst.a_loadings),
         [(fit.core, fit.g_loadings), (h.core, h.loadings)])
     for error, s_hat in zip(errors, (fit.reconstruct_g(), h.reconstruct())):
-        want = loss_remse(s_hat, inst.signal, squared=True)
+        want = (np.linalg.norm(s_hat - inst.signal)
+                / np.linalg.norm(inst.signal)) ** 2
         assert abs(error / norm - want) <= 1e-12 * want
     assert abs(norm - np.vdot(inst.signal, inst.signal)) <= 1e-12 * norm
 
