@@ -37,9 +37,9 @@ import numpy as np
 
 from .sieve import (BasisSpec, SieveDesign, build_design, projector_apply,
                     read_covariates_csv, write_covariates_csv)
-from .tensor import (eigenvalues_symmetric, fix_signs, matricize, mode_gram,
-                     mode_product, multi_mode_product, read_tns,
-                     top_eigenvectors, top_left_singular_vectors, write_tns)
+from .tensor import (fix_signs, matricize, mode_gram, mode_product,
+                     multi_mode_product, read_tns, top_eigenvectors,
+                     top_left_singular_vectors, write_tns)
 
 __all__ = [
     "EstimationError",
@@ -52,7 +52,6 @@ __all__ = [
     "compress",
     "hooi",
     "ipsvd_iterate",
-    "estimate_core",
     "calibrate",
     "estimate_loadings",
     "fit_stefa",
@@ -168,11 +167,11 @@ def _normalize_designs(designs, order) -> list:
     return designs
 
 
-def _check_design_shapes(Y, designs) -> None:
+def _check_design_shapes(dims, designs) -> None:
     for m, d in enumerate(designs):
-        if d is not None and d.n_rows != Y.shape[m]:
+        if d is not None and d.n_rows != dims[m]:
             raise ValueError(f"design for mode {m + 1} has {d.n_rows} rows, "
-                             f"tensor extent is {Y.shape[m]}")
+                             f"tensor extent is {dims[m]}")
 
 
 def _is_integer(x) -> bool:
@@ -307,7 +306,7 @@ def compress(Y: np.ndarray, designs=None) -> SieveStats:
     """
     Y = np.ascontiguousarray(Y, dtype=float)
     designs = _normalize_designs(designs, Y.ndim)
-    _check_design_shapes(Y, designs)
+    _check_design_shapes(Y.shape, designs)
     sq_norm = float(np.vdot(Y, Y))
     if not np.isfinite(sq_norm):
         if not np.all(np.isfinite(Y)):
@@ -402,38 +401,29 @@ def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8):
     (:class:`RankExceedsSpanError` otherwise); ``max_iter`` must be an
     integer >= 1 and ``tol`` finite and >= 0.
 
-    Returns ``(factors, trace, converged)`` where ``trace`` holds the maximal
-    per-sweep subspace change.
+    Returns ``(factors, trace, converged, core)`` where ``trace`` holds the
+    maximal per-sweep subspace change and ``core`` is the least-squares core
+    of the factors, Y contracted with each and divided by prod(I).  As in
+    :func:`hooi` it is the loop's ``Z x_m W_m^T`` over sqrt(prod(I)), its
+    mode-m slices flipped with the lift's column signs.
     """
     _check_iteration_controls(max_iter, tol)
     stats, designs = _statistics(Y, designs)
     ranks = _check_ranks(stats.shape, designs, ranks)
     scales = np.sqrt(np.asarray(stats.shape, dtype=float))
 
-    units, trace, _, _, converged = _power_iteration(
+    units, trace, _, core, converged = _power_iteration(
         stats.compressed, ranks, max_iter, tol)
 
-    factors = [(u if b is None else fix_signs(b @ u)) * s
-               for u, b, s in zip(units, stats.bases, scales)]
-    return factors, trace, converged
-
-
-def estimate_core(Y, factors) -> np.ndarray:
-    """Least-squares core: Y contracted with every factor, divided by prod(I).
-
-    From sieve statistics (:func:`compress`) the core is Z contracted with
-    each factor's coordinates ``B_m^T G_m`` (``G_m`` itself on a mode without
-    a basis), which equals the contraction of Y when each G_m lies in the
-    span of B_m, as IP-SVD's factors do.
-    """
-    stats = Y if isinstance(Y, SieveStats) else compress(Y)
-    for m, g in enumerate(factors):
-        if g.shape[0] != stats.shape[m]:
-            raise ValueError(f"factor for mode {m + 1} has {g.shape[0]} rows, "
-                             f"tensor extent is {stats.shape[m]}")
-    coords = {m: (g if b is None else b.T @ g).T
-              for m, (g, b) in enumerate(zip(factors, stats.bases))}
-    return multi_mode_product(stats.compressed, coords) / float(stats.size)
+    factors = []
+    for m, (u, b, s) in enumerate(zip(units, stats.bases, scales)):
+        if b is not None:
+            lifted = b @ u
+            u = fix_signs(lifted)
+            signs = np.where((u == lifted).all(axis=0), 1.0, -1.0)
+            core = core * signs.reshape((-1,) + (1,) * (core.ndim - m - 1))
+        factors.append(u * s)
+    return factors, trace, converged, core / np.sqrt(float(stats.size))
 
 
 def calibrate(core: np.ndarray, factors):
@@ -479,7 +469,7 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
     a_loadings, gammas, coeffs = [], [], []
     for m in range(len(shape)):
         gram = mode_gram(core, m)
-        w = eigenvalues_symmetric(gram)
+        w = np.linalg.eigvalsh(gram)[::-1]
         if not w[-1] > 1e-12 * np.trace(gram):
             raise DegenerateCoreError(
                 f"degenerate core (mode {m + 1}): rank may be misspecified")
@@ -504,13 +494,13 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
 def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
               tol: float = 1e-8) -> StefaFit:
     """Full pipeline: sieve statistics (:func:`compress`), iteratively
-    projected SVD (:func:`ipsvd_iterate`, which also checks the ranks), core
-    projection, orthogonal calibration, and loading extraction.  Every stage
-    after the first works on the statistics, so the fit reads Y three times;
-    ``Y`` may also be statistics already compressed with ``designs``.
-    ``diagnostics["timings"]`` holds the wall seconds of each stage:
-    compress, ranks (0 with given ranks), iterate, core, calibrate and
-    loadings.
+    projected SVD (:func:`ipsvd_iterate`, whose loop also forms the core),
+    orthogonal calibration, and loading extraction.  Given ranks are checked
+    before Y is read.  Every stage after the first works on the statistics,
+    so the fit reads Y three times; ``Y`` may also be statistics already
+    compressed with ``designs``.  ``diagnostics["timings"]`` holds the wall
+    seconds of each stage: compress, ranks (0 with given ranks), iterate,
+    calibrate and loadings.
 
     ``designs`` is a per-mode list of :class:`SieveDesign` or None (no
     covariates for that mode, meaning unprojected updates).  ``ranks=None``
@@ -523,6 +513,11 @@ def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
     sweeps"``.
     """
     _check_iteration_controls(max_iter, tol)
+    if ranks is not None:
+        dims = Y.shape if isinstance(Y, SieveStats) else np.shape(Y)
+        checked = _normalize_designs(designs, len(dims))
+        _check_design_shapes(dims, checked)
+        ranks = _check_ranks(dims, checked, ranks)
     timings = {}
     with _stage(timings, "compress"):
         stats, designs = _statistics(Y, designs)
@@ -530,11 +525,8 @@ def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
         if ranks is None:
             ranks = estimate_ranks(stats, designs)
     with _stage(timings, "iterate"):
-        factors, trace, converged = ipsvd_iterate(
+        factors, trace, converged, core = ipsvd_iterate(
             stats, designs, ranks, max_iter=max_iter, tol=tol)
-    ranks = tuple(g.shape[1] for g in factors)
-    with _stage(timings, "core"):
-        core = estimate_core(stats, factors)
     with _stage(timings, "calibrate"):
         core, factors, flags = calibrate(core, factors)
     with _stage(timings, "loadings"):
@@ -614,7 +606,8 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     ranks = []
     profiles = []
     for m in range(len(shape)):
-        lam = np.clip(eigenvalues_symmetric(mode_gram(compressed, m)), 0.0, None)
+        lam = np.clip(np.linalg.eigvalsh(mode_gram(compressed, m))[::-1], 0.0,
+                      None)
         n = compressed.shape[m]
         p = compressed.size // n
 

@@ -49,7 +49,6 @@ __all__ = [
     "mode_gram",
     "top_left_singular_vectors",
     "top_eigenvectors",
-    "eigenvalues_symmetric",
     "fix_signs",
     "read_tns",
     "write_tns",
@@ -174,17 +173,6 @@ def top_eigenvectors(gram: np.ndarray, r: int) -> np.ndarray:
     of ``M``."""
     _, v = np.linalg.eigh(gram)
     return fix_signs(v[:, ::-1][:, :r])
-
-
-def eigenvalues_symmetric(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix in non-increasing order."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = np.max(np.abs(mat)) or 1.0
-    if np.max(np.abs(mat - mat.T)) > 1e-8 * scale:
-        raise ValueError("matrix is not symmetric")
-    return np.linalg.eigvalsh((mat + mat.T) / 2.0)[::-1]
 
 
 def _workers(count: int) -> int:
@@ -329,12 +317,17 @@ def write_tns(path, t: np.ndarray) -> None:
     header, each other chunk to a part file beside ``path``, and this process
     then appends the parts in order; it removes them, also when a worker
     fails.  No process holds the text of more than 2**13 values, and the file
-    is byte-identical for any n.
+    is byte-identical for any n.  A tensor of order 0 or with a zero extent,
+    which :func:`read_tns` would reject, raises ``ValueError`` before the
+    file is opened.
     """
     t = np.asarray(t, dtype=float)
+    if t.ndim == 0 or t.size == 0:
+        raise ValueError(f"cannot write a tensor of shape {t.shape}: the "
+                         "format needs order >= 1 and positive extents")
     flat = t.ravel(order="C")
     step = max(8, -(-flat.size // (8 * _workers(flat.size))) * 8)
-    chunks = [flat[i:i + step] for i in range(0, flat.size, step)] or [flat]
+    chunks = [flat[i:i + step] for i in range(0, flat.size, step)]
     with open(path, "w") as fh:
         fh.write(f"{t.ndim}\n")
         fh.write(" ".join(str(d) for d in t.shape) + "\n")

@@ -54,7 +54,7 @@ def test_fit_auto_ranks(workdir, capsys):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "fit"
     assert str(root / "y.tns") in manifest["input_digests"]
-    stages = {"compress", "ranks", "iterate", "core", "calibrate", "loadings"}
+    stages = {"compress", "ranks", "iterate", "calibrate", "loadings"}
     timings = report["diagnostics"]["timings"]
     assert set(timings) == stages and min(timings.values()) >= 0.0
     timings = manifest["timings_seconds"]
@@ -80,6 +80,22 @@ def test_fit_rejects_ranks_the_tensor_cannot_hold(workdir, capsys, ranks,
                  "--ranks", ranks, "--out", str(root / "bad")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_rejects_ranks_before_compressing(workdir, capsys, monkeypatch):
+    # given ranks are checked before compress reads the tensor
+    import stefa.estimator
+
+    def no_compress(*args, **kwargs):
+        raise AssertionError("compress called")
+
+    monkeypatch.setattr(stefa.estimator, "compress", no_compress)
+    root, _ = workdir
+    code = main(["fit", "--tensor", str(root / "y.tns"), *cov_args(root),
+                 "--ranks", "4,1,1", "--out", str(root / "bad")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: rank 4 for mode 1 exceeds product of the other ranks (1)\n")
 
 
 def test_fit_without_covariates_flags_plain_mode(workdir):

@@ -6,7 +6,7 @@ import pytest
 
 from stefa.estimator import (DegenerateCoreError, EstimationError,
                              RankExceedsSpanError,
-                             _check_ranks, calibrate, compress, estimate_core,
+                             _check_ranks, calibrate, compress,
                              estimate_loadings, estimate_ranks, fit_stefa, hooi,
                              ipsvd_iterate, load_fit, save_fit,
                              subspace_distance)
@@ -205,21 +205,29 @@ def test_hooi_matches_four_pass_reference(case):
 
 
 def _count_tensor_reads(monkeypatch, y):
-    """Patch the mode products seen by the estimator and the tensor module;
-    return the list that records the mode of each product whose input has
-    the shape of ``y``."""
+    """Patch the mode products seen by the estimator and the tensor module,
+    and ``np.vdot``; return the list that records each pass over a tensor
+    with the shape of ``y``: the mode of a mode product, ``"vdot"`` for a
+    dot product such as ``||Y||^2``."""
     import stefa.estimator
     import stefa.tensor
     reads = []
     mode_product = stefa.tensor.mode_product
+    vdot = np.vdot
 
     def counting(t, mat, mode):
         if np.shape(t) == y.shape:
             reads.append(mode)
         return mode_product(t, mat, mode)
 
+    def counting_vdot(a, b):
+        if np.shape(a) == y.shape:
+            reads.append("vdot")
+        return vdot(a, b)
+
     for module in (stefa.tensor, stefa.estimator):
         monkeypatch.setattr(module, "mode_product", counting)
+    monkeypatch.setattr(np, "vdot", counting_vdot)
     return reads
 
 
@@ -238,18 +246,19 @@ def test_hooi_reads_the_tensor_n_over_n_minus_1_times_per_sweep(
         reads.clear()
         fit = hooi(y, (2,) * len(dims), max_iter=k, tol=0.0)
         assert fit.iterations_used == k and len(fit.objective_trace) == k + 1
-        assert len(reads) == -(-n * k // shared)
+        # plus the pass of ||Y||^2 in compress's finiteness check
+        assert reads[0] == "vdot" and len(reads) == 1 + -(-n * k // shared)
 
 
 def test_single_active_mode_iterates_on_the_tensor_itself(monkeypatch):
     # one covariate mode: its leave-one-out compression is Y itself (no mode
-    # product), so Y is read only by the product that forms Z
+    # product), so Y is read only by ||Y||^2 and the product that forms Z
     rng = np.random.default_rng(33)
     y = rng.standard_normal((10, 11, 12))
     design = build_design(rng.uniform(size=(10, 1)), BasisSpec(degree=3))
     reads = _count_tensor_reads(monkeypatch, y)
     stats = compress(y, [design, None, None])
-    assert stats.leave_one_out[0] is y and reads == [0]
+    assert stats.leave_one_out[0] is y and reads == ["vdot", 0]
     assert np.allclose(stats.compressed, mode_product(y, design.basis.T, 0),
                        rtol=0.0, atol=1e-12)
 
@@ -346,7 +355,8 @@ def test_degenerate_core_error_on_zero_tensor():
 
 def test_iterate_trace_and_convergence():
     inst, designs = inspan_instance(seed=7)
-    factors, trace, converged = ipsvd_iterate(inst.signal, designs, (2, 2, 2))
+    factors, trace, converged, _ = ipsvd_iterate(inst.signal, designs,
+                                                 (2, 2, 2))
     assert converged
     assert trace[-1] < 1e-8
 
@@ -386,7 +396,7 @@ def test_compressed_iteration_matches_full_space_reference(case):
     if case == "one_without_design":
         designs[1] = None
 
-    factors, trace, converged = ipsvd_iterate(y, designs, (2, 2, 2))
+    factors, trace, converged, _ = ipsvd_iterate(y, designs, (2, 2, 2))
     ref, ref_trace = reference_ipsvd_iterate(y, designs, (2, 2, 2))
     assert len(trace) == len(ref_trace) > 2
     assert converged
@@ -399,18 +409,42 @@ def test_compressed_iteration_matches_full_space_reference(case):
 
 
 def test_fixed_rank_fit_compresses_the_tensor_once(monkeypatch):
-    # every mode product of a fit, direct or inside a chain, that reads a
-    # Y-sized tensor: only the two passes of compress, with or without
-    # automatic ranks
+    # every pass of a fit over a Y-sized tensor, a mode product direct or
+    # inside a chain or a dot product: only the three passes of compress,
+    # with or without automatic ranks, and none for ranks it rejects
     inst, designs = inspan_instance(dims=(20, 22, 24), seed=23, alpha=0.5)
     y = inst.observed
     reads = _count_tensor_reads(monkeypatch, y)
-    for ranks in [(2, 2, 2), None]:
+    for run in [lambda: fit_stefa(y, designs, ranks=(2, 2, 2)),
+                lambda: fit_stefa(y, designs),
+                lambda: estimate_ranks(y, designs)]:
         reads.clear()
-        fit_stefa(y, designs, ranks=ranks)
-        # along the first and the last mode: the middle-mode product reads Y
-        # in per-slab GEMMs, slower than either
-        assert reads == [0, 2]
+        run()
+        # ||Y||^2, then along the first and the last mode: the middle-mode
+        # product reads Y in per-slab GEMMs, slower than either
+        assert reads == ["vdot", 0, 2]
+    reads.clear()
+    with pytest.raises(ValueError, match=r"rank 30 for mode 1 not in \[1, 20\]"):
+        fit_stefa(y, designs, ranks=(30, 2, 2))
+    assert reads == []
+
+
+@pytest.mark.parametrize("dims, degree, ranks, error, message", [
+    ((20, 22, 24), 3, (30, 2, 2), ValueError,
+     r"rank 30 for mode 1 not in \[1, 20\]"),
+    ((12, 12, 12), 1, (4, 2, 2), RankExceedsSpanError,
+     r"\(mode 1: rank 4 > span 3\)")], ids=["extent", "span"])
+def test_fit_rejects_given_ranks_before_compressing(monkeypatch, dims, degree,
+                                                    ranks, error, message):
+    import stefa.estimator
+    inst, designs = inspan_instance(dims=dims, degree=degree, seed=23)
+
+    def no_compress(*args, **kwargs):
+        raise AssertionError("compress called")
+
+    monkeypatch.setattr(stefa.estimator, "compress", no_compress)
+    with pytest.raises(error, match=message):
+        fit_stefa(inst.observed, designs, ranks=ranks)
 
 
 def _close(a, b, tol=1e-12):
@@ -438,17 +472,19 @@ def test_stages_take_the_tensor_or_its_sieve_statistics(case):
         for name in ("g_loadings", "a_loadings", "gamma"):
             assert _close(getattr(fits[0], name)[m], getattr(fits[1], name)[m])
 
-    (f0, t0, c0), (f1, t1, c1) = [ipsvd_iterate(t, designs, (2, 2, 2))
-                                  for t in (y, stats)]
+    # the calibrated core is Y contracted with the calibrated G loadings
+    direct = multi_mode_product(y, [g.T for g in fits[0].g_loadings]) / y.size
+    assert _close(fits[0].core, direct)
+
+    (f0, t0, c0, core), (f1, t1, c1, core1) = [
+        ipsvd_iterate(t, designs, (2, 2, 2)) for t in (y, stats)]
     assert c0 == c1 and _close(t0, t1, 0.0)
     assert all(_close(a, b) for a, b in zip(f0, f1))
 
-    # the core from the statistics equals Y contracted with the factors
+    # the core the loop forms equals Y contracted with the factors
     direct = multi_mode_product(y, [g.T for g in f0]) / y.size
-    assert _close(estimate_core(stats, f0), direct)
-    assert _close(estimate_core(y, f0), direct)
+    assert _close(core, direct) and _close(core1, direct)
 
-    core = estimate_core(stats, f0)
     out = [estimate_loadings(t, designs, core, f0) for t in (y, stats)]
     for part in range(2):
         assert all(_close(a, b) for a, b in zip(out[0][part], out[1][part]))
@@ -499,16 +535,6 @@ def test_estimate_loadings_matches_per_mode_reference():
     for m in range(3):
         assert np.allclose(a[m], ref[m], rtol=0.0, atol=1e-12)
         assert np.allclose(a[m], fit.a_loadings[m], rtol=0.0, atol=1e-12)
-
-
-def test_estimate_core_shapes():
-    rng = np.random.default_rng(8)
-    y = rng.standard_normal((6, 7, 8))
-    gs = [np.ones((6, 2)), np.ones((7, 2)), np.ones((8, 2))]
-    core = estimate_core(y, gs)
-    assert core.shape == (2, 2, 2)
-    with pytest.raises(ValueError):
-        estimate_core(y, [np.ones((5, 2))] + gs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +650,8 @@ def test_save_load_roundtrip(tmp_path):
         back, back_designs = load_fit(out)
         assert back.ranks == fit.ranks
         timings = fit.diagnostics["timings"]
-        assert set(timings) == {"compress", "ranks", "iterate", "core",
-                                "calibrate", "loadings"}
+        assert set(timings) == {"compress", "ranks", "iterate", "calibrate",
+                                "loadings"}
         assert min(timings.values()) >= 0.0
         assert back.diagnostics["timings"] == timings
         assert np.allclose(back.core, fit.core, atol=1e-10)

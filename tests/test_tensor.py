@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from stefa import tensor as tensor_module
 from stefa.cli import main
-from stefa.tensor import (eigenvalues_symmetric, fix_signs, matricize,
-                          mode_gram, mode_product, multi_mode_product, read_tns,
+from stefa.tensor import (fix_signs, matricize, mode_gram, mode_product,
+                          multi_mode_product, read_tns,
                           top_left_singular_vectors, write_tns)
 
 
@@ -156,16 +156,6 @@ def test_top_left_singular_vectors_rank_validation():
         top_left_singular_vectors(np.ones((3, 4)), 0)
     with pytest.raises(ValueError):
         top_left_singular_vectors(np.array([[np.nan, 1.0]]), 1)
-
-
-def test_eigenvalues_symmetric_sorted():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6))
-    sym = a @ a.T
-    w = eigenvalues_symmetric(sym)
-    assert np.all(np.diff(w) <= 1e-12)
-    with pytest.raises(ValueError):
-        eigenvalues_symmetric(a)
 
 
 @settings(deadline=None, max_examples=40)
@@ -349,6 +339,17 @@ def test_tns_header_and_count_checks(tmp_path):
     path.write_text("2\n2 0\n")
     with pytest.raises(ValueError):
         read_tns(path)
+
+
+@pytest.mark.parametrize("t", [np.float64(2.5), np.zeros((0, 3)),
+                               np.zeros((2, 0, 4))],
+                         ids=["order0", "zero_extent", "zero_middle_extent"])
+def test_write_tns_refuses_what_read_tns_refuses(tmp_path, t):
+    # such a file would fail read_tns's header check, so none is written
+    path = tmp_path / "t.tns"
+    with pytest.raises(ValueError, match="order >= 1 and positive extents"):
+        write_tns(path, t)
+    assert not path.exists()
 
 
 def test_tns_two_chunk_read_of_uneven_whitespace_is_the_one_chunk_parse(
