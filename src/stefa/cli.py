@@ -206,23 +206,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit the factor model to a tensor")
-    p_fit.add_argument("--tensor", required=True)
-    p_fit.add_argument("--covariates", action="append", metavar="m:file.csv",
-                       help="per-mode covariate CSV, 1-based mode; repeatable")
+    inputs = argparse.ArgumentParser(add_help=False)    # see _read_inputs
+    inputs.add_argument("--tensor", required=True)
+    inputs.add_argument("--covariates", action="append", metavar="m:file.csv",
+                        help="per-mode covariate CSV, 1-based mode; repeatable")
+    inputs.add_argument("--basis", default="legendre:4",
+                        help="sieve basis as family:degree")
+
+    p_fit = sub.add_parser("fit", parents=[inputs],
+                           help="fit the factor model to a tensor")
     p_fit.add_argument("--ranks", default="auto",
                        help="comma-separated per-mode ranks, or 'auto'")
-    p_fit.add_argument("--basis", default="legendre:4",
-                       help="sieve basis as family:degree")
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--max-iter", type=int, default=50)
     p_fit.add_argument("--tol", type=float, default=1e-8)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_ranks = sub.add_parser("ranks", help="estimate per-mode ranks")
-    p_ranks.add_argument("--tensor", required=True)
-    p_ranks.add_argument("--covariates", action="append", metavar="m:file.csv")
-    p_ranks.add_argument("--basis", default="legendre:4")
+    p_ranks = sub.add_parser("ranks", parents=[inputs],
+                             help="estimate per-mode ranks")
     p_ranks.add_argument("--kmax", type=int, default=None)
     p_ranks.add_argument("--out", default=None)
     p_ranks.set_defaults(func=cmd_ranks)

@@ -10,7 +10,7 @@ every ``B_m^T`` and ``U_j = B_j W_j``; so IP-SVD, its spectral start
 included, runs as HOOI on the sieve-compressed tensor Z, and its factors are
 lifted by B_m at the end.  Modes without covariates stay uncompressed
 (unprojected updates), so with no designs at all the machinery reduces to
-plain HOOI, which shares the loop.
+plain HOOI, which runs the same iteration on the statistics of Y alone.
 
 Every estimate after the data step lies in the sieve spans, so a fit reads Y
 only through its sieve statistics (:func:`compress`, the projected-PCA
@@ -20,7 +20,10 @@ the iteration use Z and ``||Y||^2``, the core Z, and the loadings the L_m,
 because ``Y x_{j != m} U_j^T = L_m x_{j != m} (B_j^T U_j)^T`` when each U_j
 lies in span(B_j).  The L_m come from the contraction schedule of the
 sweeps, so forming the statistics reads Y three times, whatever the order
-of the tensor: once for ``||Y||^2`` and twice for the L_m.
+of the tensor: once for ``||Y||^2`` and twice for the L_m.  The statistics
+carry their designs, so :func:`ipsvd_iterate` and :func:`estimate_loadings`
+take statistics only, :func:`fit_stefa` and :func:`hooi` a tensor, and
+:func:`estimate_ranks` either.
 """
 
 from __future__ import annotations
@@ -139,10 +142,6 @@ class StefaFit:
         """Fitted signal: core contracted with the full loadings on every mode."""
         return multi_mode_product(self.core, self.a_loadings)
 
-    def reconstruct_g(self) -> np.ndarray:
-        """Covariate-explained signal: core contracted with the G loadings."""
-        return multi_mode_product(self.core, self.g_loadings)
-
 
 @dataclass(frozen=True, eq=False)
 class SieveStats:
@@ -152,7 +151,7 @@ class SieveStats:
     sq_norm: float                # ||Y||^2
     compressed: np.ndarray        # Z: Y contracted with every B_m^T
     leave_one_out: tuple          # per mode m, Y contracted with each B_j^T, j != m
-    bases: tuple                  # per mode, the orthonormal sieve basis or None
+    designs: tuple                # per mode, the SieveDesign of B_m or None
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,7 @@ def compress(Y: np.ndarray, designs=None) -> SieveStats:
     (a covariate mode), the statistics hold ``||Y||^2``; the leave-one-out
     compressions ``L_m = Y x_{j != m} B_j^T``, one per covariate mode (each
     I_m x J x J for three covariate modes); the sieve-compressed tensor
-    ``Z = L_m x_m B_m^T``; and the bases.  Other modes are neither
+    ``Z = L_m x_m B_m^T``; and the designs.  Other modes are neither
     compressed nor contracted, so on a mode without a basis the
     leave-one-out entry is Z itself, and with no designs Z and every entry
     are Y itself, not copies.
@@ -324,20 +323,7 @@ def compress(Y: np.ndarray, designs=None) -> SieveStats:
                       compressed=compressed,
                       leave_one_out=tuple(partial.get(m, compressed)
                                           for m in range(Y.ndim)),
-                      bases=bases)
-
-
-def _statistics(Y, designs):
-    """``(stats, designs)``: the sieve statistics of ``Y``, formed here unless
-    ``Y`` already is :class:`SieveStats`, and the per-mode designs, which
-    must be the ones the statistics were compressed with."""
-    stats = Y if isinstance(Y, SieveStats) else compress(Y, designs)
-    designs = _normalize_designs(designs, len(stats.shape))
-    for m, (b, d) in enumerate(zip(stats.bases, designs)):
-        if b is not (None if d is None else d.basis):
-            raise ValueError(f"sieve statistics were not compressed with the "
-                             f"design of mode {m + 1}")
-    return stats, designs
+                      designs=tuple(designs))
 
 
 # ---------------------------------------------------------------------------
@@ -346,50 +332,42 @@ def _statistics(Y, designs):
 def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit:
     """Higher-order orthogonal iteration with HOSVD initialization.
 
-    The start takes the leading eigenvectors of each mode Gram, summed
-    without unfolding Y.  The sweeps run on the observed tensor itself, in
-    the power-iteration loop that :func:`ipsvd_iterate` runs on the
-    sieve-compressed tensor, and read it N / (N - 1) times each for an
-    order-N tensor (see :func:`_power_iteration`).  ``objective_trace``
-    records the captured energy ``prod(I) * ||Y x_m U_m^T||^2`` before the
-    first sweep and after each one, and ``subspace_change_trace`` each
-    sweep's largest subspace change over the modes (a fit whose last change
-    is not below ``tol`` has not converged).  Loadings are scaled so
-    ``A^T A / I_m`` is the identity, and the final core is rotated so each
-    mode-wise core Gram is diagonal with decreasing entries (the same
-    calibration used by the projected estimator).  The start objective and
-    the core come from the loop's contractions, so ``hooi(Y, r, max_iter=k,
-    tol=0)`` reads Y in ``ceil(N k / (N - 1))`` mode products.
-    ``max_iter`` must be an integer >= 1 and ``tol`` finite and >= 0, and
-    Y's entries finite (checked by :func:`compress`).
+    HOOI is IP-SVD without designs: :func:`ipsvd_iterate`'s iteration on
+    ``compress(Y)``, whose tensor is Y itself, then :func:`calibrate`.  The
+    start takes the leading eigenvectors of each mode Gram, summed without
+    unfolding Y; each sweep reads Y N / (N - 1) times for an order-N tensor.
+    ``objective_trace`` records the captured energy ``prod(I) * ||Y x_m
+    U_m^T||^2`` before the first sweep and after each one, and
+    ``subspace_change_trace`` each sweep's largest subspace change over the
+    modes (a fit whose last change is not below ``tol`` has not converged).
+    Loadings are scaled so ``A^T A / I_m`` is the identity, and the final
+    core is rotated so each mode-wise core Gram is diagonal with decreasing
+    entries.  The start objective and the core come from the loop's
+    contractions, so ``hooi(Y, r, max_iter=k, tol=0)`` reads Y in ``ceil(N k
+    / (N - 1))`` mode products.  ``max_iter`` must be an integer >= 1 and
+    ``tol`` finite and >= 0, and Y's entries finite (checked by
+    :func:`compress`).
     """
     _check_iteration_controls(max_iter, tol)
-    stats = compress(Y)               # no designs: its tensor is Y itself
-    Y = stats.compressed
-    ranks = _check_ranks(Y.shape, [None] * Y.ndim, ranks)
-    units, changes, energies, core, converged = _power_iteration(
-        Y, ranks, max_iter, tol)
-    trace = [Y.size * e for e in energies]
-
-    # the least-squares core of the loadings sqrt(I_m) U_m is Y x_m U_m^T
-    # times prod(sqrt(I_m)) / prod(I_m)
-    scales = np.sqrt(np.asarray(Y.shape, dtype=float))
-    loadings = [u * s for u, s in zip(units, scales)]
-    core, loadings, _ = calibrate(core / np.sqrt(float(Y.size)), loadings)
-    return HooiFit(core=core, loadings=loadings, ranks=ranks,
-                   iterations_used=len(changes), objective_trace=trace,
+    stats = compress(Y)
+    loadings, changes, converged, core, energies = _iterate(
+        stats, ranks, max_iter, tol)
+    core, loadings, _ = calibrate(core, loadings)
+    return HooiFit(core=core, loadings=loadings, ranks=core.shape,
+                   iterations_used=len(changes),
+                   objective_trace=[stats.size * e for e in energies],
                    converged=converged, subspace_change_trace=changes)
 
 
 # ---------------------------------------------------------------------------
 # iteratively projected SVD
 
-def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8):
+def ipsvd_iterate(stats, ranks, max_iter: int = 50, tol: float = 1e-8):
     """Iteratively projected SVD: projected spectral start and projected
     power iterations (Gauss-Seidel over modes).
 
-    ``Y`` is the observed tensor or its :class:`SieveStats` (from
-    :func:`compress` with the same ``designs``).  The start and the sweeps
+    ``stats`` are the sieve statistics of the observed tensor Y, from
+    :func:`compress` with the designs they carry.  The start and the sweeps
     run as HOOI on the sieve-compressed tensor Z, which is Y contracted with
     ``B_m^T`` on every covariate mode m.  The start of mode m is the top
     eigenvectors of Z's mode-m Gram, the coordinates ``W_m`` of the projected
@@ -403,27 +381,34 @@ def ipsvd_iterate(Y, designs, ranks, max_iter: int = 50, tol: float = 1e-8):
 
     Returns ``(factors, trace, converged, core)`` where ``trace`` holds the
     maximal per-sweep subspace change and ``core`` is the least-squares core
-    of the factors, Y contracted with each and divided by prod(I).  As in
-    :func:`hooi` it is the loop's ``Z x_m W_m^T`` over sqrt(prod(I)), its
-    mode-m slices flipped with the lift's column signs.
+    of the factors, Y contracted with each and divided by prod(I): the
+    loop's ``Z x_m W_m^T`` over sqrt(prod(I)), its mode-m slices flipped
+    with the lift's column signs.
     """
     _check_iteration_controls(max_iter, tol)
-    stats, designs = _statistics(Y, designs)
-    ranks = _check_ranks(stats.shape, designs, ranks)
+    return _iterate(stats, ranks, max_iter, tol)[:4]
+
+
+def _iterate(stats, ranks, max_iter, tol):
+    """The body of :func:`ipsvd_iterate` after its controls check, and of
+    :func:`hooi`: ``(factors, trace, converged, core)``, then the loop's
+    energies (see :func:`_power_iteration`)."""
+    ranks = _check_ranks(stats.shape, stats.designs, ranks)
     scales = np.sqrt(np.asarray(stats.shape, dtype=float))
 
-    units, trace, _, core, converged = _power_iteration(
+    units, trace, energies, core, converged = _power_iteration(
         stats.compressed, ranks, max_iter, tol)
 
     factors = []
-    for m, (u, b, s) in enumerate(zip(units, stats.bases, scales)):
-        if b is not None:
-            lifted = b @ u
+    for m, (u, d, s) in enumerate(zip(units, stats.designs, scales)):
+        if d is not None:
+            lifted = d.basis @ u
             u = fix_signs(lifted)
             signs = np.where((u == lifted).all(axis=0), 1.0, -1.0)
             core = core * signs.reshape((-1,) + (1,) * (core.ndim - m - 1))
         factors.append(u * s)
-    return factors, trace, converged, core / np.sqrt(float(stats.size))
+    return (factors, trace, converged, core / np.sqrt(float(stats.size)),
+            energies)
 
 
 def calibrate(core: np.ndarray, factors):
@@ -445,27 +430,27 @@ def calibrate(core: np.ndarray, factors):
     return new_core, new_factors, flags
 
 
-def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
+def estimate_loadings(stats: SieveStats, core: np.ndarray, g_loadings):
     """Full loadings, their covariate-orthogonal parts, and sieve coefficients.
 
     The mode-m loading regresses the (other-mode projected) observation onto
     the core contracted with the other modes' G loadings; the orthogonal part
     is its residual after sieve projection.
 
-    ``Y`` is the observed tensor or its :class:`SieveStats`.  The G loadings
+    ``stats`` are the sieve statistics of the observed tensor Y (from
+    :func:`compress`), whose designs give the projections.  The G loadings
     lie in the sieve spans, so the mode-m contraction ``Y x_{j != m} U_j^T``
     (``U_j = G_j / sqrt(I_j)``) is formed from the statistics as
     ``S_m x_{j != m} c_j^T`` with coordinates ``c_j = B_j^T U_j`` (U_j on a
-    mode without a basis), S_m being the leave-one-out compression L_m on a
-    covariate mode and Z on a mode without a basis.
+    mode without a design), S_m being the leave-one-out compression L_m on a
+    covariate mode and Z on a mode without a design.
     """
-    stats, designs = _statistics(Y, designs)
     shape = stats.shape
     scales = np.sqrt(np.asarray(shape, dtype=float))
     coords = {}
-    for m, b in enumerate(stats.bases):
+    for m, d in enumerate(stats.designs):
         u = g_loadings[m] / scales[m]
-        coords[m] = (u if b is None else b.T @ u).T
+        coords[m] = (u if d is None else d.basis.T @ u).T
     a_loadings, gammas, coeffs = [], [], []
     for m in range(len(shape)):
         gram = mode_gram(core, m)
@@ -480,7 +465,7 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
         a_m /= np.sqrt(stats.size / shape[m])
         a_loadings.append(a_m)
 
-        d = designs[m]
+        d = stats.designs[m]
         if d is None:
             gammas.append(a_m.copy())
             coeffs.append(None)
@@ -491,16 +476,15 @@ def estimate_loadings(Y, designs, core: np.ndarray, g_loadings):
     return a_loadings, gammas, coeffs
 
 
-def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
+def fit_stefa(Y: np.ndarray, designs=None, ranks=None, max_iter: int = 50,
               tol: float = 1e-8) -> StefaFit:
-    """Full pipeline: sieve statistics (:func:`compress`), iteratively
-    projected SVD (:func:`ipsvd_iterate`, whose loop also forms the core),
-    orthogonal calibration, and loading extraction.  Given ranks are checked
-    before Y is read.  Every stage after the first works on the statistics,
-    so the fit reads Y three times; ``Y`` may also be statistics already
-    compressed with ``designs``.  ``diagnostics["timings"]`` holds the wall
-    seconds of each stage: compress, ranks (0 with given ranks), iterate,
-    calibrate and loadings.
+    """Full pipeline on the observed tensor Y: sieve statistics
+    (:func:`compress`), iteratively projected SVD (:func:`ipsvd_iterate`,
+    whose loop also forms the core), orthogonal calibration, and loading
+    extraction.  Given ranks are checked before Y is read.  Every stage
+    after the first takes the statistics, so the fit reads Y three times.
+    ``diagnostics["timings"]`` holds the wall seconds of each stage:
+    compress, ranks (0 with given ranks), iterate, calibrate and loadings.
 
     ``designs`` is a per-mode list of :class:`SieveDesign` or None (no
     covariates for that mode, meaning unprojected updates).  ``ranks=None``
@@ -514,26 +498,25 @@ def fit_stefa(Y, designs=None, ranks=None, max_iter: int = 50,
     """
     _check_iteration_controls(max_iter, tol)
     if ranks is not None:
-        dims = Y.shape if isinstance(Y, SieveStats) else np.shape(Y)
+        dims = np.shape(Y)
         checked = _normalize_designs(designs, len(dims))
         _check_design_shapes(dims, checked)
         ranks = _check_ranks(dims, checked, ranks)
     timings = {}
     with _stage(timings, "compress"):
-        stats, designs = _statistics(Y, designs)
+        stats = compress(Y, designs)
     with _stage(timings, "ranks"):
         if ranks is None:
-            ranks = estimate_ranks(stats, designs)
+            ranks = estimate_ranks(stats)
     with _stage(timings, "iterate"):
         factors, trace, converged, core = ipsvd_iterate(
-            stats, designs, ranks, max_iter=max_iter, tol=tol)
+            stats, ranks, max_iter=max_iter, tol=tol)
     with _stage(timings, "calibrate"):
         core, factors, flags = calibrate(core, factors)
     with _stage(timings, "loadings"):
-        a_loadings, gammas, coeffs = estimate_loadings(
-            stats, designs, core, factors)
+        a_loadings, gammas, coeffs = estimate_loadings(stats, core, factors)
 
-    if all(d is None for d in designs):
+    if all(d is None for d in stats.designs):
         flags.append("no sieve projection")
     if not converged:
         flags.append(f"not converged after {len(trace)} sweeps")
@@ -567,9 +550,10 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
                    return_profile: bool = False):
     """Noise-edge rank estimate per mode on the sieve-projected tensor.
 
-    ``Y`` is the observed tensor or its :class:`SieveStats` (compressed with
-    ``designs``); the estimate reads only Z and ``||Y||^2``.  Z is Y
-    contracted with every covariate mode's orthonormal sieve basis.  The
+    ``Y`` is the observed tensor, compressed here with ``designs``, or its
+    :class:`SieveStats`, which carry their designs (``designs`` given as well
+    raises ``ValueError``); the estimate reads only Z and ``||Y||^2``.  Z is
+    Y contracted with every covariate mode's orthonormal sieve basis.  The
     noise variance is estimated from the energy outside the sieve spans,
     ``sigma2 = (||Y||^2 - ||Z||^2) / (N - |Z|)``, which signal inside the
     spans does not reach.  When there is no such complement (no mode has a
@@ -592,7 +576,9 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     """
     if k_max is not None and not (_is_integer(k_max) and k_max >= 1):
         raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
-    stats, _ = _statistics(Y, designs)
+    if isinstance(Y, SieveStats) and designs is not None:
+        raise ValueError("sieve statistics carry their designs; pass none")
+    stats = Y if isinstance(Y, SieveStats) else compress(Y, designs)
     shape = stats.shape
     compressed = stats.compressed
     if not np.any(compressed):

@@ -142,9 +142,9 @@ def test_criterion_6_rank_selection_rate():
     _report(6, ok, f"correct-rank rate {rate:.2f} over {REPS} reps "
                    f"(need >= 0.90)")
     assert rate >= 0.9, (
-        f"rate {rate:.2f}: at this signal level the third spectral gap of the "
-        f"projected Gram is dominated by the first two, so the ratio "
-        f"criterion under-selects; see the invariants covered by the "
+        f"rate {rate:.2f}: at this signal level the third eigenvalue of the "
+        f"projected Gram often stays below the noise edge, so the noise-edge "
+        f"rule under-selects; see the invariants covered by the "
         f"property suite for the noiseless contract")
 
 

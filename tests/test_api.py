@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stefa
@@ -81,29 +82,49 @@ def test_every_private_module_level_name_is_used():
     assert not dead, f"private names that nothing uses: {dead}"
 
 
+def _is_property(node) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", "")).endswith("property")
+               for d in node.decorator_list)
+
+
 def test_every_exported_function_is_called():
-    # a function a submodule exports that nothing in the package calls,
-    # other than itself, is a second surface kept only for the tests
+    # a function a submodule exports, or a public method of a class it
+    # exports, that nothing in the package calls, other than itself, is a
+    # second surface kept only for the tests; properties are read, not called
     package = Path(stefa.__file__).resolve().parent
     calls = []
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = getattr(func, "id", getattr(func, "attr", None))
-                    calls.append((path.stem, owner, name))
+            scopes = [(getattr(top, "name", None), top)]
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{getattr(member, 'name', '')}", member)
+                          for member in top.body]
+            for owner, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = getattr(func, "id", getattr(func, "attr", None))
+                        calls.append((path.stem, owner, name))
     uncalled = []
     for module in SUBMODULES:
         exported = set(importlib.import_module(f"stefa.{module}").__all__)
         tree = ast.parse((package / f"{module}.py").read_text())
-        functions = [node.name for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name in exported]
-        uncalled += [f"{module}: {name}" for name in functions
-                     if not any(callee == name and (caller, owner) != (module, name)
-                                for caller, owner, callee in calls)]
-    assert not uncalled, f"exported functions that nothing calls: {uncalled}"
+        public = []                 # (owner, name) of each function or method
+        for node in tree.body:
+            if getattr(node, "name", None) not in exported:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                public.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                public += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("_")
+                           and not _is_property(m)]
+        uncalled += [f"{module}: {owner}" for owner, name in public
+                     if not any(callee == name and (caller, where) != (module, owner)
+                                for caller, where, callee in calls)]
+    assert not uncalled, \
+        f"exported functions and methods that nothing calls: {uncalled}"
 
 
 def test_readme_imports_name_exported_functions():
@@ -122,3 +143,21 @@ def test_readme_imports_name_exported_functions():
         stale += [f"{node.module}.{alias.name}" for alias in node.names
                   if alias.name not in exported]
     assert not stale, f"README imports names that are not exported: {stale}"
+
+
+def test_readme_python_blocks_run_in_order():
+    # README's examples share their names (y, designs, fit, ranks), so they
+    # run as one script on a small seeded draw; a changed signature fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 4
+    inst = stefa.generate(stefa.SimConfig(dims=(30, 32, 34), rank=2, alpha=0.9,
+                                          j_star=3, seed=26))
+    x_new = np.random.default_rng(26).uniform(size=(5, 2))
+    namespace = {"y": inst.observed, "x1": inst.covariates[0],
+                 "x2": inst.covariates[1], "x_new": x_new}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["pred"].shape == (5, 32, 34)
+    assert namespace["ranks"] == namespace["fit"].ranks

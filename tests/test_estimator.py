@@ -86,7 +86,8 @@ def test_hooi_rejects_bad_input():
 
 
 @pytest.mark.parametrize("fit", [
-    hooi, lambda y, ranks, **controls: ipsvd_iterate(y, None, ranks, **controls)],
+    hooi, lambda y, ranks, **controls: ipsvd_iterate(compress(y), ranks,
+                                                      **controls)],
     ids=["hooi", "ipsvd_iterate"])
 @pytest.mark.parametrize("key, value", [
     ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("max_iter", True),
@@ -202,6 +203,28 @@ def test_hooi_matches_four_pass_reference(case):
     assert np.allclose(fit.objective_trace, trace, rtol=1e-12, atol=0.0)
     for m in range(y.ndim):
         assert subspace_distance(fit.loadings[m], units[m]) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["noise", "draw", "four_way"])
+def test_hooi_is_ipsvd_iterate_without_designs_then_calibrate(case):
+    # HOOI is IP-SVD on the statistics of a tensor without designs: the same
+    # arithmetic, so the same bits
+    if case == "noise":
+        ranks = (2, 3, 2)
+        y = np.random.default_rng(1).standard_normal((12, 13, 14))
+    elif case == "draw":
+        ranks = (3, 3, 3)
+        y = generate(SimConfig(dims=(60, 70, 80), alpha=0.9, seed=26)).observed
+    else:
+        ranks = (2, 2, 3, 2)
+        y = low_rank_plus_noise((6, 7, 8, 9), ranks, 0.1, seed=31)
+    fit = hooi(y, ranks)
+    factors, trace, converged, core = ipsvd_iterate(compress(y), ranks)
+    core, factors, _ = calibrate(core, factors)
+    assert np.array_equal(fit.core, core)
+    assert all(np.array_equal(a, b) for a, b in zip(fit.loadings, factors))
+    assert np.array_equal(fit.subspace_change_trace, trace)
+    assert fit.converged == converged
 
 
 def _count_tensor_reads(monkeypatch, y):
@@ -337,7 +360,7 @@ def test_no_designs_runs_hooi_semantics():
 def test_rank_exceeds_span_error():
     inst, designs = inspan_instance(dims=(12, 12, 12), degree=1)  # span dim 3
     with pytest.raises(RankExceedsSpanError, match=r"\(mode 1: rank 4 > span 3\)"):
-        ipsvd_iterate(inst.observed, designs, (4, 2, 2))
+        ipsvd_iterate(compress(inst.observed, designs), (4, 2, 2))
 
 
 def test_degenerate_core_error_on_overspecified_rank():
@@ -355,8 +378,8 @@ def test_degenerate_core_error_on_zero_tensor():
 
 def test_iterate_trace_and_convergence():
     inst, designs = inspan_instance(seed=7)
-    factors, trace, converged, _ = ipsvd_iterate(inst.signal, designs,
-                                                 (2, 2, 2))
+    factors, trace, converged, _ = ipsvd_iterate(
+        compress(inst.signal, designs), (2, 2, 2))
     assert converged
     assert trace[-1] < 1e-8
 
@@ -396,7 +419,8 @@ def test_compressed_iteration_matches_full_space_reference(case):
     if case == "one_without_design":
         designs[1] = None
 
-    factors, trace, converged, _ = ipsvd_iterate(y, designs, (2, 2, 2))
+    factors, trace, converged, _ = ipsvd_iterate(compress(y, designs),
+                                                 (2, 2, 2))
     ref, ref_trace = reference_ipsvd_iterate(y, designs, (2, 2, 2))
     assert len(trace) == len(ref_trace) > 2
     assert converged
@@ -462,36 +486,16 @@ def test_stages_take_the_tensor_or_its_sieve_statistics(case):
         designs[1] = None
     elif case == "no_designs":
         designs = [None] * 3
-    stats = compress(y, designs)
-
-    fits = [fit_stefa(t, designs, ranks=(2, 2, 2)) for t in (y, stats)]
-    assert fits[0].ranks == fits[1].ranks
-    assert fits[0].iterations_used == fits[1].iterations_used
-    assert _close(fits[0].core, fits[1].core)
-    for m in range(3):
-        for name in ("g_loadings", "a_loadings", "gamma"):
-            assert _close(getattr(fits[0], name)[m], getattr(fits[1], name)[m])
 
     # the calibrated core is Y contracted with the calibrated G loadings
-    direct = multi_mode_product(y, [g.T for g in fits[0].g_loadings]) / y.size
-    assert _close(fits[0].core, direct)
-
-    (f0, t0, c0, core), (f1, t1, c1, core1) = [
-        ipsvd_iterate(t, designs, (2, 2, 2)) for t in (y, stats)]
-    assert c0 == c1 and _close(t0, t1, 0.0)
-    assert all(_close(a, b) for a, b in zip(f0, f1))
+    fit = fit_stefa(y, designs, ranks=(2, 2, 2))
+    direct = multi_mode_product(y, [g.T for g in fit.g_loadings]) / y.size
+    assert _close(fit.core, direct)
 
     # the core the loop forms equals Y contracted with the factors
-    direct = multi_mode_product(y, [g.T for g in f0]) / y.size
-    assert _close(core, direct) and _close(core1, direct)
-
-    out = [estimate_loadings(t, designs, core, f0) for t in (y, stats)]
-    for part in range(2):
-        assert all(_close(a, b) for a, b in zip(out[0][part], out[1][part]))
-
-    if case == "all_designs":
-        with pytest.raises(ValueError, match="not compressed with the design"):
-            ipsvd_iterate(compress(y), designs, (2, 2, 2))
+    factors, _, _, core = ipsvd_iterate(compress(y, designs), (2, 2, 2))
+    direct = multi_mode_product(y, [g.T for g in factors]) / y.size
+    assert _close(core, direct)
 
 
 def test_unconverged_fit_is_flagged():
@@ -530,7 +534,7 @@ def test_estimate_loadings_matches_per_mode_reference():
     inst, designs = inspan_instance(dims=(20, 24, 10), seed=22, alpha=0.5)
     fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
     core, g = fit.core, fit.g_loadings
-    a, _, _ = estimate_loadings(inst.observed, designs, core, g)
+    a, _, _ = estimate_loadings(compress(inst.observed, designs), core, g)
     ref = reference_estimate_loadings(inst.observed, designs, core, g)
     for m in range(3):
         assert np.allclose(a[m], ref[m], rtol=0.0, atol=1e-12)
@@ -629,6 +633,15 @@ def test_estimate_ranks_underflowing_gram():
         ranks, profiles = estimate_ranks(y, return_profile=True)
     assert ranks == (1, 1, 1)
     assert all(np.array_equal(p, np.zeros(len(p))) for p in profiles)
+
+
+def test_estimate_ranks_takes_designs_only_with_a_tensor():
+    # statistics carry the designs they were compressed with
+    inst, designs = inspan_instance(seed=12)
+    stats = compress(inst.observed, designs)
+    assert estimate_ranks(stats) == estimate_ranks(inst.observed, designs)
+    with pytest.raises(ValueError, match="carry their designs"):
+        estimate_ranks(stats, designs)
 
 
 def test_estimate_ranks_zero_tensor():
