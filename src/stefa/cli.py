@@ -88,9 +88,9 @@ def _read_inputs(args):
     """``(Y, designs, inputs)`` of ``fit`` and ``ranks``: the ``--tensor``
     array, one sieve design per mode (None for a mode without
     ``--covariates``) and the paths of the files read."""
+    spec = _parse_basis(args.basis)
     Y = read_tns(args.tensor)
     cov_paths = _parse_covariate_args(args.covariates, Y.ndim)
-    spec = _parse_basis(args.basis)
     designs = []
     for m, path in enumerate(cov_paths):
         if path is None:
@@ -100,7 +100,10 @@ def _read_inputs(args):
         if X.shape[0] != Y.shape[m]:
             raise ValueError(f"covariates for mode {m + 1} have {X.shape[0]} "
                              f"rows, tensor extent is {Y.shape[m]}")
-        designs.append(build_design(X, spec))
+        try:
+            designs.append(build_design(X, spec))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return Y, designs, [args.tensor] + [p for p in cov_paths if p]
 
 
@@ -119,8 +122,8 @@ def _parse_ranks(text):
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    Y, designs, inputs = _read_inputs(args)
     ranks = _parse_ranks(args.ranks)
+    Y, designs, inputs = _read_inputs(args)
     fit = fit_stefa(Y, designs, ranks=ranks, max_iter=args.max_iter,
                     tol=args.tol)
     save_fit(fit, designs, args.out)

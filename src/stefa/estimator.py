@@ -23,7 +23,9 @@ sweeps, so forming the statistics reads Y three times, whatever the order
 of the tensor: once for ``||Y||^2`` and twice for the L_m.  The statistics
 carry their designs, so :func:`ipsvd_iterate` and :func:`estimate_loadings`
 take statistics only, :func:`fit_stefa` and :func:`hooi` a tensor, and
-:func:`estimate_ranks` either.
+:func:`estimate_ranks` either.  :func:`fit_stefa`, :func:`hooi` and
+:func:`ipsvd_iterate` check given ranks before Y is read, so the iteration
+they share checks nothing.
 """
 
 from __future__ import annotations
@@ -157,20 +159,17 @@ class SieveStats:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _normalize_designs(designs, order) -> list:
+def _normalize_designs(designs, dims) -> list:
     if designs is None:
-        return [None] * order
+        return [None] * len(dims)
     designs = list(designs)
-    if len(designs) != order:
-        raise ValueError(f"{len(designs)} designs given for order-{order} tensor")
-    return designs
-
-
-def _check_design_shapes(dims, designs) -> None:
+    if len(designs) != len(dims):
+        raise ValueError(f"{len(designs)} designs given for order-{len(dims)} tensor")
     for m, d in enumerate(designs):
         if d is not None and d.n_rows != dims[m]:
             raise ValueError(f"design for mode {m + 1} has {d.n_rows} rows, "
                              f"tensor extent is {dims[m]}")
+    return designs
 
 
 def _is_integer(x) -> bool:
@@ -179,9 +178,11 @@ def _is_integer(x) -> bool:
 
 
 def _check_ranks(dims, designs, ranks) -> tuple:
-    """Per-mode ranks as ints.  Each rank must be an int or a numpy integer
-    (not a bool), lie in [1, I_m], not exceed the product of the other ranks
-    (the Tucker condition) and, on a covariate mode, fit its sieve span."""
+    """Per-mode ranks as ints, once ``designs`` (None, or one per mode) fit
+    the extents ``dims``.  Each rank must be an int or a numpy integer (not a
+    bool), lie in [1, I_m], not exceed the product of the other ranks (the
+    Tucker condition) and, on a covariate mode, fit its sieve span."""
+    designs = _normalize_designs(designs, dims)
     ranks = tuple(ranks)
     if len(ranks) != len(dims):
         raise ValueError(f"{len(ranks)} ranks given for order-{len(dims)} tensor")
@@ -245,43 +246,6 @@ def _contractions(T, units, modes):
                                               if j != held and j != m})
 
 
-def _power_iteration(T, ranks, max_iter, tol):
-    """Gauss-Seidel power iteration (HOOI sweeps) on ``T``; HOOI runs it on
-    the observed tensor, IP-SVD on the sieve-compressed one.
-
-    Each mode starts from the top eigenvectors of T's mode Gram, and each
-    sweep updates the modes in order from :func:`_contractions`.
-
-    Returns ``(units, changes, energies, core, converged)``: per mode the
-    final unit; per sweep, the largest subspace change over the modes; the
-    energy ``||T x_m units[m]^T||^2`` the units capture before the first
-    sweep and after each one; and the core ``T x_m units[m]^T`` of the final
-    units.  The energies and the core come from the loop's own contractions.
-    The iteration stops after the first change below ``tol`` or after
-    ``max_iter`` sweeps.
-    """
-    modes = list(range(T.ndim))
-    units = [top_eigenvectors(mode_gram(T, m), ranks[m]) for m in modes]
-    contractions = _contractions(T, units, modes)
-    m, contracted = next(contractions)
-    core = mode_product(contracted, units[m].T, m)
-    changes, energies = [], [float(np.vdot(core, core))]
-    # the first update takes the contraction the start energy came from
-    contractions = itertools.chain([(m, contracted)], contractions)
-    for _ in range(max_iter):
-        prev = list(units)
-        for m, contracted in itertools.islice(contractions, len(modes)):
-            units[m] = top_left_singular_vectors(matricize(contracted, m),
-                                                 ranks[m])
-        core = mode_product(contracted, units[m].T, m)
-        energies.append(float(np.vdot(core, core)))
-        changes.append(max(subspace_distance(u, p)
-                           for u, p in zip(units, prev)))
-        if changes[-1] < tol:
-            return units, changes, energies, core, True
-    return units, changes, energies, core, False
-
-
 # ---------------------------------------------------------------------------
 # sieve statistics
 
@@ -304,8 +268,7 @@ def compress(Y: np.ndarray, designs=None) -> SieveStats:
     and finite entries whose squares overflow :class:`EstimationError`.
     """
     Y = np.ascontiguousarray(Y, dtype=float)
-    designs = _normalize_designs(designs, Y.ndim)
-    _check_design_shapes(Y.shape, designs)
+    designs = _normalize_designs(designs, Y.shape)
     sq_norm = float(np.vdot(Y, Y))
     if not np.isfinite(sq_norm):
         if not np.all(np.isfinite(Y)):
@@ -344,11 +307,13 @@ def hooi(Y: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-8) -> HooiFit
     core is rotated so each mode-wise core Gram is diagonal with decreasing
     entries.  The start objective and the core come from the loop's
     contractions, so ``hooi(Y, r, max_iter=k, tol=0)`` reads Y in ``ceil(N k
-    / (N - 1))`` mode products.  ``max_iter`` must be an integer >= 1 and
+    / (N - 1))`` mode products.  The ranks must be valid Tucker ranks, and
+    are checked before Y is read; ``max_iter`` must be an integer >= 1 and
     ``tol`` finite and >= 0, and Y's entries finite (checked by
     :func:`compress`).
     """
     _check_iteration_controls(max_iter, tol)
+    ranks = _check_ranks(np.shape(Y), None, ranks)
     stats = compress(Y)
     loadings, changes, converged, core, energies = _iterate(
         stats, ranks, max_iter, tol)
@@ -376,8 +341,9 @@ def ipsvd_iterate(stats, ranks, max_iter: int = 50, tol: float = 1e-8):
     as ``fix_signs(B_m W_m) * sqrt(I_m)`` at the end.  Modes without a
     design stay uncompressed and take the plain HOOI update.  The ranks must
     be valid Tucker ranks that fit their sieve spans
-    (:class:`RankExceedsSpanError` otherwise); ``max_iter`` must be an
-    integer >= 1 and ``tol`` finite and >= 0.
+    (:class:`RankExceedsSpanError` otherwise), and are checked before the
+    statistics are read; ``max_iter`` must be an integer >= 1 and ``tol``
+    finite and >= 0.
 
     Returns ``(factors, trace, converged, core)`` where ``trace`` holds the
     maximal per-sweep subspace change and ``core`` is the least-squares core
@@ -386,19 +352,43 @@ def ipsvd_iterate(stats, ranks, max_iter: int = 50, tol: float = 1e-8):
     with the lift's column signs.
     """
     _check_iteration_controls(max_iter, tol)
+    ranks = _check_ranks(stats.shape, stats.designs, ranks)
     return _iterate(stats, ranks, max_iter, tol)[:4]
 
 
 def _iterate(stats, ranks, max_iter, tol):
-    """The body of :func:`ipsvd_iterate` after its controls check, and of
-    :func:`hooi`: ``(factors, trace, converged, core)``, then the loop's
-    energies (see :func:`_power_iteration`)."""
-    ranks = _check_ranks(stats.shape, stats.designs, ranks)
+    """Gauss-Seidel power iteration (HOOI sweeps) on the sieve-compressed
+    tensor Z of ``stats`` (Y itself for :func:`hooi`), then the lift: the
+    body of :func:`ipsvd_iterate` after its checks.  Each mode starts from
+    the top eigenvectors of Z's mode Gram; each sweep updates the modes in
+    order from :func:`_contractions`, until the first subspace change below
+    ``tol`` or ``max_iter`` sweeps.  Returns :func:`ipsvd_iterate`'s
+    ``(factors, trace, converged, core)``, then the energies ``||Z x_m
+    units[m]^T||^2`` before the first sweep and after each one; they and the
+    core come from the loop's own contractions.
+    """
+    T = stats.compressed
+    modes = list(range(T.ndim))
+    units = [top_eigenvectors(mode_gram(T, m), ranks[m]) for m in modes]
+    contractions = _contractions(T, units, modes)
+    m, contracted = next(contractions)
+    core = mode_product(contracted, units[m].T, m)
+    trace, energies = [], [float(np.vdot(core, core))]
+    # the first update takes the contraction the start energy came from
+    contractions = itertools.chain([(m, contracted)], contractions)
+    for _ in range(max_iter):
+        prev = list(units)
+        for m, contracted in itertools.islice(contractions, len(modes)):
+            units[m] = top_left_singular_vectors(matricize(contracted, m),
+                                                 ranks[m])
+        core = mode_product(contracted, units[m].T, m)
+        energies.append(float(np.vdot(core, core)))
+        trace.append(max(subspace_distance(u, p)
+                         for u, p in zip(units, prev)))
+        if trace[-1] < tol:
+            break
+
     scales = np.sqrt(np.asarray(stats.shape, dtype=float))
-
-    units, trace, energies, core, converged = _power_iteration(
-        stats.compressed, ranks, max_iter, tol)
-
     factors = []
     for m, (u, d, s) in enumerate(zip(units, stats.designs, scales)):
         if d is not None:
@@ -407,8 +397,8 @@ def _iterate(stats, ranks, max_iter, tol):
             signs = np.where((u == lifted).all(axis=0), 1.0, -1.0)
             core = core * signs.reshape((-1,) + (1,) * (core.ndim - m - 1))
         factors.append(u * s)
-    return (factors, trace, converged, core / np.sqrt(float(stats.size)),
-            energies)
+    return (factors, trace, bool(trace[-1] < tol),
+            core / np.sqrt(float(stats.size)), energies)
 
 
 def calibrate(core: np.ndarray, factors):
@@ -498,10 +488,7 @@ def fit_stefa(Y: np.ndarray, designs=None, ranks=None, max_iter: int = 50,
     """
     _check_iteration_controls(max_iter, tol)
     if ranks is not None:
-        dims = np.shape(Y)
-        checked = _normalize_designs(designs, len(dims))
-        _check_design_shapes(dims, checked)
-        ranks = _check_ranks(dims, checked, ranks)
+        ranks = _check_ranks(np.shape(Y), designs, ranks)
     timings = {}
     with _stage(timings, "compress"):
         stats = compress(Y, designs)
@@ -735,9 +722,10 @@ def load_fit(fit_dir):
     ``format_version`` other than 1 (a missing one reads as 1); when a matrix
     file lacks the header ``save_fit`` writes or is not a numeric CSV that
     :func:`~stefa.sieve.read_covariates_csv` reads, or the core has a
-    non-finite value; or when the core's extents disagree with the ranks,
-    the loading shapes or the sieve coefficients' (basis size by core
-    extent), or the covariate rows with the loading rows.
+    non-finite value; or when ``iterations_used`` disagrees with the length
+    of ``subspace_change_trace``, the core's extents with the ranks, the
+    loading shapes or the sieve coefficients' (basis size by core extent),
+    or the covariate rows with the loading rows.
     """
     with open(os.path.join(fit_dir, "report.json")) as fh:
         try:
@@ -749,6 +737,9 @@ def load_fit(fit_dir):
     if type(version) is not int or version != _FORMAT_VERSION:
         raise ValueError(f"report.json key 'format_version' must be "
                          f"{_FORMAT_VERSION}, got {version!r}")
+    if report["iterations_used"] != len(report["subspace_change_trace"]):
+        raise ValueError("report.json iterations_used disagrees with the "
+                         "length of subspace_change_trace")
     core = read_tns(os.path.join(fit_dir, "core.tns"))
     if not np.all(np.isfinite(core)):
         raise ValueError("core.tns has non-finite values")

@@ -70,13 +70,16 @@ def kernel_weights(X_new: np.ndarray, X_train: np.ndarray,
     rows are never empty, and a bandwidth tending to 0 tends to the point
     mass on the nearest row.  Epanechnikov rows with no training row within
     the bandwidth fall back to a point mass on the nearest training row;
-    rows that fall back are listed in ``fallback_rows``.
+    rows that fall back are listed in ``fallback_rows``.  Covariates of
+    another width, or non-finite ones, raise ``ValueError``.
     """
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     if X_new.shape[1] != X_train.shape[1]:
         raise ValueError(f"covariate dimension mismatch: {X_new.shape[1]} vs "
                          f"{X_train.shape[1]}")
+    if not (np.all(np.isfinite(X_new)) and np.all(np.isfinite(X_train))):
+        raise ValueError("covariates contain non-finite entries")
     # scipy is imported on first use, so fits and simulations never load it
     from scipy.spatial.distance import cdist
     h = _resolve_bandwidth(X_train, spec)
@@ -118,9 +121,9 @@ def _smoothing_weights(X_new, X_train, spec: KernelSpec) -> np.ndarray:
     return wm.W
 
 
-def _check_mode(fit: StefaFit, mode: int) -> None:
-    if not 0 <= mode < fit.order:
-        raise ValueError(f"mode {mode} out of range for order-{fit.order} fit")
+def _check_mode(fit, mode: int) -> None:
+    if not 0 <= mode < fit.core.ndim:      # a StefaFit or a HooiFit
+        raise ValueError(f"mode {mode} out of range for order-{fit.core.ndim} fit")
 
 
 def predict_stefa(fit: StefaFit, designs, X_new: np.ndarray,
@@ -135,10 +138,8 @@ def predict_stefa(fit: StefaFit, designs, X_new: np.ndarray,
     d = designs[mode] if designs is not None else None
     if d is None or fit.sieve_coeffs[mode] is None:
         raise EstimationError("STEFA prediction requires covariate mode")
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    if X_new.shape[1] != d.covariates.shape[1]:
-        raise ValueError(f"covariate dimension mismatch: {X_new.shape[1]} vs "
-                         f"{d.covariates.shape[1]}")
+    # kernel_weights checks X_new before the basis is evaluated at it
+    W = _smoothing_weights(X_new, d.covariates, spec)
 
     # the other modes use the projected loadings: the regression-based full
     # loadings carry an unprojected noise component that inflates prediction
@@ -149,7 +150,6 @@ def predict_stefa(fit: StefaFit, designs, X_new: np.ndarray,
     b = fit.sieve_coeffs[mode]
     sieve_new = eval_basis(X_new, d.spec) @ b
     resid_train = fit.a_loadings[mode] - d.phi @ b
-    W = _smoothing_weights(X_new, d.covariates, spec)
     loading_new = sieve_new + W @ resid_train
     return mode_product(base, loading_new, mode)
 
@@ -157,9 +157,8 @@ def predict_stefa(fit: StefaFit, designs, X_new: np.ndarray,
 def predict_vanilla(hooi_fit, X_train: np.ndarray, X_new: np.ndarray,
                     spec: KernelSpec = KernelSpec(), mode: int = 0) -> np.ndarray:
     """Kernel-smoothing baseline: convex combinations of reconstructed slices."""
+    _check_mode(hooi_fit, mode)
     s = hooi_fit.reconstruct()
-    if not 0 <= mode < s.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{s.ndim} fit")
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     if X_train.shape[0] != s.shape[mode]:
         raise ValueError(f"covariate rows {X_train.shape[0]} do not match "

@@ -111,12 +111,18 @@ def eval_basis(X: np.ndarray, spec: BasisSpec) -> np.ndarray:
 
 
 def build_design(X: np.ndarray, spec: BasisSpec) -> SieveDesign:
-    """Build the sieve design and projector basis for one mode's covariates."""
+    """Build the sieve design and projector basis for one mode's covariates,
+    which must lie in the closed interval ``spec.domain``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     # checked before the basis is evaluated, whose cost grows with the degree
     n, j = X.shape[0], spec.n_basis(X.shape[1])
     if j > n:
         raise ValueError(f"sieve dimension exceeds mode extent ({j} > {n})")
+    lo, hi = spec.domain
+    for c, x in enumerate(X.T):
+        if x.min() < lo or x.max() > hi:
+            raise ValueError(f"covariate column {c + 1} spans [{x.min():g}, "
+                             f"{x.max():g}], outside the domain [{lo:g}, {hi:g}]")
     phi = eval_basis(X, spec)
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0

@@ -54,32 +54,35 @@ assert "scipy.interpolate" in sys.modules
 
 def test_every_private_module_level_name_is_used():
     # a private function, class or assigned name at the top of a module that
-    # nothing in the package reads is dead code
+    # nothing in the package reads outside its own definition is dead code:
+    # a helper that only calls itself counts as unused
     package = Path(stefa.__file__).resolve().parent
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(package.glob("*.py"))}
-    defined = []
-    used = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+    defined = []                # (module, name, the statement defining it)
+    reads = []                  # (names read, the top-level statement reading)
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(top) if isinstance(n, ast.Name)
                          and isinstance(n.ctx, ast.Store)]
             else:
-                continue
-            defined += [(module, name) for name in names
+                names = []
+            defined += [(path.name, name, top) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    dead = [f"{module}: {name}" for module, name in defined if name not in used]
-    assert not dead, f"private names that nothing uses: {dead}"
+            read = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+            reads.append((read, top))
+    dead = [f"{module}: {name}" for module, name, top in defined
+            if not any(name in read and where is not top
+                       for read, where in reads)]
+    assert not dead, f"private names that nothing else uses: {dead}"
 
 
 def _is_property(node) -> bool:

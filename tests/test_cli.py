@@ -98,6 +98,43 @@ def test_fit_rejects_ranks_before_compressing(workdir, capsys, monkeypatch):
         "error: rank 4 for mode 1 exceeds product of the other ranks (1)\n")
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--basis", "fourier:3"], "error: bad --basis 'fourier:3'"),
+    (["--ranks", "1,a,2"], "error: bad --ranks '1,a,2'")],
+    ids=["basis", "ranks"])
+def test_fit_parses_options_before_reading_the_tensor(workdir, capsys,
+                                                      monkeypatch, option,
+                                                      message):
+    import stefa.cli
+    calls = []
+
+    def counted_read_tns(path):
+        calls.append(path)
+        return read_tns(path)
+
+    monkeypatch.setattr(stefa.cli, "read_tns", counted_read_tns)
+    root, _ = workdir
+    code = main(["fit", "--tensor", str(root / "y.tns"), *cov_args(root),
+                 *option, "--out", str(root / "bad")])
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["fit", "ranks"])
+def test_covariates_outside_the_basis_domain_are_usage_error(
+        workdir, tmp_path, capsys, command):
+    root, inst = workdir
+    wide = tmp_path / "x2_wide.csv"
+    write_covariates_csv(wide, 10.0 * inst.covariates[1])
+    code = main([command, "--tensor", str(root / "y.tns"),
+                 "--covariates", f"1:{root / 'x1.csv'}",
+                 "--covariates", f"2:{wide}", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wide}: covariate column 1 spans [")
+    assert err.endswith("outside the domain [0, 1]\n")
+
+
 def test_fit_without_covariates_flags_plain_mode(workdir):
     root, _ = workdir
     out = root / "fit_plain"

@@ -78,6 +78,25 @@ def test_hooi_exact_recovery_and_scaling():
     assert np.linalg.norm(fit.reconstruct() - y) <= 1e-6 * np.linalg.norm(y)
 
 
+@pytest.mark.parametrize("dims, ranks, message", [
+    ((5, 5, 5), (4, 1, 1),
+     r"rank 4 for mode 1 exceeds product of the other ranks \(1\)"),
+    ((50, 50, 50), (60, 1, 1), r"rank 60 for mode 1 not in \[1, 50\]")],
+    ids=["tucker", "extent"])
+def test_hooi_rejects_ranks_before_compressing(monkeypatch, dims, ranks,
+                                               message):
+    # the ranks are checked before compress reads the tensor, whose NaN
+    # entries it would otherwise name first
+    import stefa.estimator
+
+    def no_compress(*args, **kwargs):
+        raise AssertionError("compress called")
+
+    monkeypatch.setattr(stefa.estimator, "compress", no_compress)
+    with pytest.raises(ValueError, match=message):
+        hooi(np.full(dims, np.nan), ranks)
+
+
 def test_hooi_rejects_bad_input():
     with pytest.raises(ValueError):
         hooi(np.full((4, 4, 4), np.nan), (2, 2, 2))
@@ -718,6 +737,11 @@ def test_load_fit_rejects_missing_keys_and_inconsistent_shapes(tmp_path):
 
     report_path.write_text(json.dumps(dict(report, ranks=[2, 3, 2])))
     with pytest.raises(ValueError, match="core extents"):
+        load_fit(out)
+
+    report_path.write_text(json.dumps(dict(report, iterations_used=99)))
+    with pytest.raises(ValueError, match="iterations_used disagrees with the "
+                                         "length of subspace_change_trace"):
         load_fit(out)
 
     report_path.write_text(json.dumps(report))

@@ -163,8 +163,50 @@ def test_predict_requires_covariate_mode():
 
 def test_predict_covariate_dimension_mismatch():
     inst, designs, fit = fitted_instance(seed=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="covariate dimension mismatch"):
         predict_stefa(fit, designs, np.zeros((3, 5)))
+
+
+def test_predict_vanilla_checks_mode_before_reconstructing(monkeypatch):
+    inst, _, _ = fitted_instance(seed=3)
+    href = hooi(inst.observed, (2, 2, 2))
+
+    def no_reconstruct():
+        raise AssertionError("reconstruct called")
+
+    monkeypatch.setattr(href, "reconstruct", no_reconstruct)
+    for mode in (3, -1):
+        with pytest.raises(ValueError,
+                           match=rf"mode {mode} out of range for order-3 fit"):
+            predict_vanilla(href, inst.covariates[0], inst.covariates[0][:2],
+                            mode=mode)
+
+
+def test_non_finite_new_rows_raise_before_any_weight():
+    # a NaN row has no nearest training row; it must not copy the first one
+    inst, designs, fit = fitted_instance(seed=4)
+    href = hooi(inst.observed, (2, 2, 2))
+    X_new = np.array([[0.2, np.nan], [0.5, 0.5]])
+    predictors = (lambda: kernel_weights(X_new, inst.covariates[0]),
+                  lambda: predict_stefa(fit, designs, X_new),
+                  lambda: predict_vanilla(href, inst.covariates[0], X_new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for predict in predictors:
+            with pytest.raises(ValueError, match="non-finite"):
+                predict()
+
+
+def test_new_rows_outside_the_basis_domain_are_extrapolated():
+    # build_design checks the training covariates against the basis domain;
+    # new rows are not checked, so prediction may extrapolate
+    inst, designs, fit = fitted_instance(seed=5)
+    X_new = np.array([[1.5, -0.5], [2.0, 1.0]])
+    for family in ("gaussian", "epanechnikov"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # fallback rows
+            pred = predict_stefa(fit, designs, X_new, KernelSpec(family=family))
+        assert pred.shape == (2, 20, 20) and np.all(np.isfinite(pred))
 
 
 def test_vanilla_predictions_are_convex_combinations():

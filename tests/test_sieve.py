@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,25 @@ def test_collinear_design_projector_matches_independent_subset():
     mat = rng.standard_normal((25, 6))
     assert np.allclose(projector_apply(d, mat), projector_apply(d_ind, mat),
                        atol=1e-10)
+
+
+@pytest.mark.parametrize("family", ["legendre", "bspline"])
+def test_build_design_rejects_covariates_outside_the_domain(family):
+    X = np.random.default_rng(8).uniform(size=(30, 2))
+    spec = BasisSpec(family=family, degree=5)
+    for scale, column in ((1000.0, 1), (-1.0, 2)):
+        bad = X.copy()
+        bad[:, column - 1] *= scale
+        lo, hi = bad[:, column - 1].min(), bad[:, column - 1].max()
+        message = (f"covariate column {column} spans [{lo:g}, {hi:g}], "
+                   "outside the domain [0, 1]")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_design(bad, spec)
+    # the domain is closed, and a caller's domain admits what it covers
+    edges = np.column_stack([np.linspace(0.0, 1.0, 30)] * 2)
+    assert build_design(edges, spec).n_rows == 30
+    wide = BasisSpec(family=family, degree=5, domain=(0.0, 1000.0))
+    assert build_design(1000.0 * X, wide).n_rows == 30
 
 
 def test_build_design_dimension_error():
