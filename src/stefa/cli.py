@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 bad arguments or unreadable inputs (any
 ``ValueError`` or ``OSError``, printed as ``error: message``), 3 numeric
 failures raised by the estimator.  Modes are 1-based on the command line.
 Every command writes a run manifest (resolved options, input digests, seed,
-timings, version) into its output directory; the seed is null but for
-``simulate``.
+timings, version) into its output directory (``ranks`` only with ``--out``);
+the seed is null but for ``simulate``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .estimator import (EstimationError, estimate_ranks, fit_stefa, load_fit,
+from .estimator import (EstimationError, _check_iteration_controls,
+                        _check_k_max, estimate_ranks, fit_stefa, load_fit,
                         save_fit)
 from .prediction import KernelSpec, predict_stefa, predict_vanilla
 from .sieve import BasisSpec, build_design, read_covariates_csv
@@ -42,17 +43,18 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, options, inputs, seed, timings) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+def _write_manifest(args, inputs, timings) -> None:
+    options = {k: v for k, v in vars(args).items() if k != "func"}
+    os.makedirs(args.out, exist_ok=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "options": options,
         "input_digests": {p: _sha256(p) for p in inputs},
-        "seed": seed,
+        "seed": options.get("seed"),
         "timings_seconds": timings,
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
+    with open(os.path.join(args.out, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
 
 
@@ -118,26 +120,24 @@ def _parse_ranks(text):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each checks its options, does its work, prints its line and
+# returns (inputs, timings) for the run manifest that main writes
 
-def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fit(args):
+    _check_iteration_controls(args.max_iter, args.tol)
     ranks = _parse_ranks(args.ranks)
     Y, designs, inputs = _read_inputs(args)
     fit = fit_stefa(Y, designs, ranks=ranks, max_iter=args.max_iter,
                     tol=args.tol)
     save_fit(fit, designs, args.out)
-    timings = dict(fit.diagnostics["timings"], total=time.perf_counter() - t0)
-    _write_manifest(args.out, "fit", _options_dict(args), inputs, None,
-                    timings)
     print(f"fit written to {args.out}; ranks {','.join(map(str, fit.ranks))}; "
           f"{fit.iterations_used} iterations"
           + ("" if fit.converged else " (not converged)"))
-    return EXIT_OK
+    return inputs, fit.diagnostics["timings"]
 
 
-def cmd_ranks(args) -> int:
-    t0 = time.perf_counter()
+def cmd_ranks(args):
+    _check_k_max(args.kmax)
     Y, designs, inputs = _read_inputs(args)
     ranks, profiles = estimate_ranks(Y, designs, k_max=args.kmax,
                                      return_profile=True)
@@ -146,23 +146,19 @@ def cmd_ranks(args) -> int:
     for m, prof in enumerate(profiles):
         for k, ratio in enumerate(prof, start=1):
             print(f"{m + 1},{k},{ratio:.12g}")
-    if args.out:
-        _write_manifest(args.out, "ranks", _options_dict(args), inputs,
-                        None, {"total": time.perf_counter() - t0})
-    return EXIT_OK
+    return inputs, {}
 
 
-def cmd_predict(args) -> int:
-    t0 = time.perf_counter()
-    fit, designs = load_fit(args.fit)
-    if not 1 <= args.mode <= fit.order:
-        raise ValueError(f"--mode {args.mode} not in [1, {fit.order}]")
-    X_new, _ = read_covariates_csv(args.new_covariates)
+def cmd_predict(args):
     try:
         bandwidth = "auto" if args.bandwidth == "auto" else float(args.bandwidth)
         spec = KernelSpec(family=args.kernel, bandwidth=bandwidth)
     except ValueError as exc:
         raise ValueError(f"bad --bandwidth {args.bandwidth!r}: {exc}") from None
+    fit, designs = load_fit(args.fit)
+    if not 1 <= args.mode <= fit.order:
+        raise ValueError(f"--mode {args.mode} not in [1, {fit.order}]")
+    X_new, _ = read_covariates_csv(args.new_covariates)
     mode = args.mode - 1
     if args.method == "stefa":
         pred = predict_stefa(fit, designs, X_new, spec, mode=mode)
@@ -175,28 +171,18 @@ def cmd_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "prediction.tns")
     write_tns(out_path, pred)
-    _write_manifest(args.out, "predict", _options_dict(args),
-                    [args.new_covariates], None,
-                    {"total": time.perf_counter() - t0})
     print(f"prediction written to {out_path}")
-    return EXIT_OK
+    return [args.new_covariates], {}
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args):
     if args.threads != 1:
         raise ValueError(f"--threads must be 1, got {args.threads}: "
                          "replications run one after another")
     run_experiment(args.protocol, reps=args.reps, seed=args.seed,
                    out_dir=args.out, cells=args.cells)
-    _write_manifest(args.out, "simulate", _options_dict(args), [], args.seed,
-                    {"total": time.perf_counter() - t0})
     print(f"results written to {os.path.join(args.out, 'results.csv')}")
-    return EXIT_OK
-
-
-def _options_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+    return [], {}
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +247,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, timings = args.func(args)
+        if args.out:    # only stefa ranks may omit --out
+            _write_manifest(args, inputs,
+                            dict(timings, total=time.perf_counter() - start))
+        return EXIT_OK
     # LinAlgError is a ValueError, but it is a numeric failure, not bad usage
     except (EstimationError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

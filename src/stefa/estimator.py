@@ -215,6 +215,11 @@ def _check_iteration_controls(max_iter, tol) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
+def _check_k_max(k_max) -> None:
+    if k_max is not None and not (_is_integer(k_max) and k_max >= 1):
+        raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
+
+
 @contextmanager
 def _stage(timings, name):
     """Record the wall seconds of the ``with`` block as ``timings[name]``."""
@@ -561,8 +566,7 @@ def estimate_ranks(Y, designs=None, k_max: int | None = None,
     ``1e-12 * lambda_1`` on the edge (``1e-300`` when the Gram underflows to
     zero) makes the noiseless case select the true rank.
     """
-    if k_max is not None and not (_is_integer(k_max) and k_max >= 1):
-        raise ValueError(f"k_max must be None or an integer >= 1, got {k_max!r}")
+    _check_k_max(k_max)
     if isinstance(Y, SieveStats) and designs is not None:
         raise ValueError("sieve statistics carry their designs; pass none")
     stats = Y if isinstance(Y, SieveStats) else compress(Y, designs)
@@ -624,41 +628,42 @@ def _read_matrix_csv(path, prefix):
     return mat
 
 
-def _of_type(v, kind) -> bool:
-    """``isinstance``, except that JSON's true and false are not numbers."""
-    return isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(map(test, v))
 
 
-def _is(kind):
-    return lambda v: _of_type(v, kind)
-
-
-def _list_of(kind):
-    return lambda v: isinstance(v, list) and all(_of_type(x, kind) for x in v)
+def _is_number(v) -> bool:
+    return isinstance(v, float) or _is_integer(v)
 
 
 # the layout of the fit directory that save_fit writes; a report.json without
 # the key predates it and has layout 1
 _FORMAT_VERSION = 1
 
+# the per-mode matrix files {field}_mode{m}.csv of a fit directory: the
+# StefaFit field each holds and its column-header prefix.  The sieve
+# coefficients exist on a mode exactly when report.json has its basis.
+_MATRIX_FILES = (("g_loadings", "g"), ("a_loadings", "a"), ("gamma", "gamma"),
+                 ("sieve_coeffs", "b"))
+
 # the required keys of report.json and of each mode's basis entry, with the
-# type their values must have
+# type their values must have (JSON's true and false are not numbers)
 _REPORT_KEYS = {
-    "ranks": ("a list of integers", _list_of(int)),
-    "iterations_used": ("an integer", _is(int)),
-    "subspace_change_trace": ("a list of numbers", _list_of((int, float))),
-    "converged": ("true or false", _is(bool)),
+    "ranks": ("a list of integers", _list_of(_is_integer)),
+    "iterations_used": ("an integer", _is_integer),
+    "subspace_change_trace": ("a list of numbers", _list_of(_is_number)),
+    "converged": ("true or false", lambda v: isinstance(v, bool)),
     # a layout-1 key from when a fit could hold identity modes; always empty
     "identity_modes": ("an empty list", lambda v: v == []),
-    "flags": ("a list of strings", _list_of(str)),
-    "diagnostics": ("an object", _is(dict)),
-    "basis": ("an object", _is(dict)),
+    "flags": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
+    "diagnostics": ("an object", lambda v: isinstance(v, dict)),
+    "basis": ("an object", lambda v: isinstance(v, dict)),
 }
 _BASIS_KEYS = {
-    "family": ("a string", _is(str)),
-    "degree": ("an integer", _is(int)),
-    "include_intercept": ("true or false", _is(bool)),
-    "domain": ("a list of numbers", _list_of((int, float))),
+    "family": ("a string", lambda v: isinstance(v, str)),
+    "degree": ("an integer", _is_integer),
+    "include_intercept": ("true or false", lambda v: isinstance(v, bool)),
+    "domain": ("a list of numbers", _list_of(_is_number)),
 }
 
 
@@ -683,10 +688,8 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
     write_tns(os.path.join(out_dir, "core.tns"), fit.core)
     basis = {}
     for m in range(fit.order):
-        for name, mat, prefix in (("g_loadings", fit.g_loadings[m], "g"),
-                                  ("a_loadings", fit.a_loadings[m], "a"),
-                                  ("gamma", fit.gamma[m], "gamma"),
-                                  ("sieve_coeffs", fit.sieve_coeffs[m], "b")):
+        for name, prefix in _MATRIX_FILES:
+            mat = getattr(fit, name)[m]
             if mat is not None:
                 write_covariates_csv(
                     os.path.join(out_dir, f"{name}_mode{m + 1}.csv"), mat,
@@ -716,16 +719,21 @@ def save_fit(fit: StefaFit, designs, out_dir) -> None:
 def load_fit(fit_dir):
     """Read a fit directory back into ``(StefaFit, designs)``.
 
-    Raises ``ValueError`` when ``report.json`` is not JSON, nests too deeply
-    to parse, lacks a required key, holds a value of the wrong type (an
-    ``identity_modes`` other than the empty list among them) or a
-    ``format_version`` other than 1 (a missing one reads as 1); when a matrix
-    file lacks the header ``save_fit`` writes or is not a numeric CSV that
+    A mode's ``sieve_coeffs_mode{m}.csv`` is read exactly when ``report.json``
+    holds that mode's basis: a missing one raises ``OSError``, and one on a
+    mode without a basis is not read.  Raises ``ValueError`` when
+    ``report.json`` is not JSON, nests too deeply to parse, lacks a required
+    key, holds a value of the wrong type (an ``identity_modes`` other than
+    the empty list among them) or a ``format_version`` other than 1 (a
+    missing one reads as 1); when a matrix file lacks the header ``save_fit``
+    writes or is not a numeric CSV that
     :func:`~stefa.sieve.read_covariates_csv` reads, or the core has a
     non-finite value; or when ``iterations_used`` disagrees with the length
-    of ``subspace_change_trace``, the core's extents with the ranks, the
-    loading shapes or the sieve coefficients' (basis size by core extent),
-    or the covariate rows with the loading rows.
+    of ``subspace_change_trace``, the core's extents with the ranks, a
+    matrix's shape with the core (a loading or gamma is I_m by the core
+    extent, with I_m the rows of G; the coefficients are the basis size by
+    the core extent), or the covariate rows with the loading rows.  An error
+    in building a mode's design names its covariate file.
     """
     with open(os.path.join(fit_dir, "report.json")) as fh:
         try:
@@ -746,47 +754,42 @@ def load_fit(fit_dir):
     if tuple(report["ranks"]) != core.shape:
         raise ValueError(f"report.json ranks {report['ranks']} disagree with "
                          f"the core extents {list(core.shape)}")
-    order = core.ndim
-    g, a, gamma, coeffs, designs = [], [], [], [], []
-    for m in range(order):
-        g.append(_read_matrix_csv(
-            os.path.join(fit_dir, f"g_loadings_mode{m + 1}.csv"), "g"))
-        a.append(_read_matrix_csv(
-            os.path.join(fit_dir, f"a_loadings_mode{m + 1}.csv"), "a"))
-        gamma.append(_read_matrix_csv(
-            os.path.join(fit_dir, f"gamma_mode{m + 1}.csv"), "gamma"))
-        coeff_path = os.path.join(fit_dir, f"sieve_coeffs_mode{m + 1}.csv")
-        coeffs.append(_read_matrix_csv(coeff_path, "b")
-                      if os.path.exists(coeff_path) else None)
-        # every loading is I_m x (core extent); G fixes I_m
-        expected = (g[m].shape[0], core.shape[m])
-        for name, mat in (("g_loadings", g[m]), ("a_loadings", a[m]),
-                          ("gamma", gamma[m])):
-            if mat.shape != expected:
-                raise ValueError(f"{name}_mode{m + 1}.csv has shape {mat.shape}; "
-                                 f"the core extent of mode {m + 1} is "
-                                 f"{core.shape[m]}")
+    matrices = {name: [] for name, _ in _MATRIX_FILES}
+    designs = []
+    for m in range(core.ndim):
         info = report["basis"].get(str(m))
-        if info is None:
-            designs.append(None)
-        else:
+        design = None
+        if info is not None:
             _require_keys(info, _BASIS_KEYS, f"report.json basis for mode {m + 1}")
             spec = BasisSpec(family=info["family"], degree=info["degree"],
                              include_intercept=info["include_intercept"],
                              domain=tuple(info["domain"]))
-            X, _ = read_covariates_csv(
-                os.path.join(fit_dir, f"covariates_mode{m + 1}.csv"))
-            if X.shape[0] != expected[0]:
-                raise ValueError(f"covariates_mode{m + 1}.csv has {X.shape[0]} "
-                                 f"rows; the loadings of mode {m + 1} have "
-                                 f"{expected[0]}")
-            designs.append(build_design(X, spec))
-            shape = (designs[m].n_basis, core.shape[m])
-            if coeffs[m] is not None and coeffs[m].shape != shape:
-                raise ValueError(f"sieve_coeffs_mode{m + 1}.csv has shape "
-                                 f"{coeffs[m].shape}, not {shape}")
-    fit = StefaFit(core=core, g_loadings=g, a_loadings=a, gamma=gamma,
-                   sieve_coeffs=coeffs, ranks=tuple(report["ranks"]),
+            path = os.path.join(fit_dir, f"covariates_mode{m + 1}.csv")
+            X, _ = read_covariates_csv(path)
+            try:
+                design = build_design(X, spec)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        designs.append(design)
+        for name, prefix in _MATRIX_FILES:
+            if name == "sieve_coeffs" and design is None:
+                matrices[name].append(None)
+                continue
+            file = f"{name}_mode{m + 1}.csv"
+            mat = _read_matrix_csv(os.path.join(fit_dir, file), prefix)
+            # a loading or gamma is I_m x (core extent), with G (read first)
+            # fixing I_m; the coefficients are J x (core extent)
+            if name == "g_loadings":
+                n_rows = mat.shape[0]
+            shape = (design.n_basis if name == "sieve_coeffs" else n_rows,
+                     core.shape[m])
+            if mat.shape != shape:
+                raise ValueError(f"{file} has shape {mat.shape}, not {shape}")
+            matrices[name].append(mat)
+        if design is not None and design.n_rows != n_rows:
+            raise ValueError(f"covariates_mode{m + 1}.csv has {design.n_rows} "
+                             f"rows; the loadings of mode {m + 1} have {n_rows}")
+    fit = StefaFit(core=core, **matrices, ranks=tuple(report["ranks"]),
                    iterations_used=report["iterations_used"],
                    subspace_change_trace=report["subspace_change_trace"],
                    converged=report["converged"], flags=report["flags"],

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import stefa
 from stefa.cli import main
-from stefa.estimator import _check_ranks
+from stefa.estimator import _check_ranks, load_fit
 from stefa.sieve import write_covariates_csv
 from stefa.simlab import SimConfig, generate
 from stefa.tensor import read_tns, write_tns
@@ -98,13 +98,19 @@ def test_fit_rejects_ranks_before_compressing(workdir, capsys, monkeypatch):
         "error: rank 4 for mode 1 exceeds product of the other ranks (1)\n")
 
 
-@pytest.mark.parametrize("option, message", [
-    (["--basis", "fourier:3"], "error: bad --basis 'fourier:3'"),
-    (["--ranks", "1,a,2"], "error: bad --ranks '1,a,2'")],
-    ids=["basis", "ranks"])
+# stefa ranks checks its options before reading the tensor too
+@pytest.mark.parametrize("command, option, message", [
+    ("fit", ["--basis", "fourier:3"], "error: bad --basis 'fourier:3'"),
+    ("fit", ["--ranks", "1,a,2"], "error: bad --ranks '1,a,2'"),
+    ("fit", ["--max-iter", "0"],
+     "error: max_iter must be an integer >= 1, got 0\n"),
+    ("fit", ["--tol", "nan"], "error: tol must be finite and >= 0, got nan\n"),
+    ("ranks", ["--kmax", "0"],
+     "error: k_max must be None or an integer >= 1, got 0\n")],
+    ids=["basis", "ranks", "max-iter", "tol", "kmax"])
 def test_fit_parses_options_before_reading_the_tensor(workdir, capsys,
-                                                      monkeypatch, option,
-                                                      message):
+                                                      monkeypatch, command,
+                                                      option, message):
     import stefa.cli
     calls = []
 
@@ -114,10 +120,29 @@ def test_fit_parses_options_before_reading_the_tensor(workdir, capsys,
 
     monkeypatch.setattr(stefa.cli, "read_tns", counted_read_tns)
     root, _ = workdir
-    code = main(["fit", "--tensor", str(root / "y.tns"), *cov_args(root),
+    code = main([command, "--tensor", str(root / "y.tns"), *cov_args(root),
                  *option, "--out", str(root / "bad")])
     assert code == 2 and calls == []
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_predict_checks_the_bandwidth_before_loading_the_fit(workdir, capsys,
+                                                             monkeypatch):
+    import stefa.cli
+    calls = []
+
+    def counted_load_fit(path):
+        calls.append(path)
+        return load_fit(path)
+
+    monkeypatch.setattr(stefa.cli, "load_fit", counted_load_fit)
+    root, _ = workdir
+    code = main(["predict", "--fit", str(root / "fit_auto"),
+                 "--new-covariates", str(root / "x1.csv"),
+                 "--bandwidth=-1", "--out", str(root / "bad")])
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err == (
+        "error: bad --bandwidth '-1': bandwidth must be positive and finite\n")
 
 
 @pytest.mark.parametrize("command", ["fit", "ranks"])
@@ -237,7 +262,6 @@ def test_predict_roundtrip(workdir, capsys):
     pred = read_tns(out / "prediction.tns")
     assert pred.shape == (25, 25, 25)
     # tiny bandwidth at the training rows reproduces the fitted slices
-    from stefa.estimator import load_fit
     from stefa.tensor import multi_mode_product
     fit, _ = load_fit(fit_dir)
     expect = multi_mode_product(fit.core, [fit.a_loadings[0],
@@ -448,18 +472,36 @@ def test_predict_on_deeply_nested_report_is_usage_error(workdir, fuzz_fit_dir,
     assert "report.json nests too deeply" in err and "Traceback" not in err
 
 
-def test_only_simulate_takes_a_seed(workdir, tmp_path, capsys):
+def test_only_simulate_takes_a_seed(workdir, tmp_path, capsys, monkeypatch):
     root, _ = workdir
-    fit = ["fit", "--tensor", str(root / "y.tns"), "--ranks", "2,2,2"]
+    fit = ["fit", "--tensor", str(root / "y.tns"), *cov_args(root),
+           "--basis", "legendre:3", "--ranks", "2,2,2"]
     ranks = ["ranks", "--tensor", str(root / "y.tns")]
-    assert main([*fit, "--seed", "3", "--out", str(tmp_path / "a")]) == 2
-    assert main([*ranks, "--seed", "3", "--out", str(tmp_path / "b")]) == 2
-    assert main([*fit, "--out", str(tmp_path / "a")]) == 0
-    assert main([*ranks, "--out", str(tmp_path / "b")]) == 0
+    assert main([*fit, "--seed", "3", "--out", str(tmp_path / "fit")]) == 2
+    assert main([*ranks, "--seed", "3", "--out", str(tmp_path / "ranks")]) == 2
+    # every command writes one manifest layout; ranks without --out none
+    monkeypatch.chdir(tmp_path)
+    assert main(ranks) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert main([*fit, "--out", str(tmp_path / "fit")]) == 0
+    assert main([*ranks, "--out", str(tmp_path / "ranks")]) == 0
+    assert main(["predict", "--fit", str(tmp_path / "fit"), "--new-covariates",
+                 str(root / "x1.csv"), "--out", str(tmp_path / "predict")]) == 0
+    assert main(["simulate", "--protocol", "noise_amplify", "--reps", "1",
+                 "--seed", "5", "--cells", "amplifier=0.0",
+                 "--out", str(tmp_path / "simulate")]) == 0
     capsys.readouterr()
-    for out in ("a", "b"):
-        manifest = json.loads((tmp_path / out / "run_manifest.json").read_text())
-        assert manifest["seed"] is None and "seed" not in manifest["options"]
+    for command in ("fit", "ranks", "predict", "simulate"):
+        manifest = json.loads(
+            (tmp_path / command / "run_manifest.json").read_text())
+        assert list(manifest) == ["command", "options", "input_digests",
+                                  "seed", "timings_seconds", "version"]
+        assert manifest["command"] == command
+        assert "total" in manifest["timings_seconds"]
+        if command == "simulate":
+            assert manifest["seed"] == manifest["options"]["seed"] == 5
+        else:
+            assert manifest["seed"] is None and "seed" not in manifest["options"]
 
 
 def test_simulate_argument_errors(tmp_path, capsys):
@@ -632,7 +674,13 @@ def test_predict_options_never_raise(workdir, fuzz_fit_dir, mode, bandwidth,
     assert "Traceback" not in err
     if not 1 <= mode <= 3 and kernel in ("gaussian", "epanechnikov") \
             and method in ("stefa", "vanilla"):
-        assert f"--mode {mode} not in [1, 3]" in err
+        # the bandwidth is checked before the fit is read, the mode after
+        try:
+            valid = bandwidth == "auto" or 0 < float(bandwidth) < np.inf
+        except ValueError:
+            valid = False
+        assert (f"--mode {mode} not in [1, 3]" if valid
+                else f"bad --bandwidth {bandwidth!r}") in err
 
 
 _MATRIX_FILES = ["g_loadings", "a_loadings", "gamma", "sieve_coeffs",
@@ -641,13 +689,17 @@ _MATRIX_FILES = ["g_loadings", "a_loadings", "gamma", "sieve_coeffs",
 
 @st.composite
 def _broken_csv(draw, text, names_matter):
-    """``text``, a CSV of a header and numeric rows, with one fault: an empty
-    file or one without data rows, a wrong header (a name missing or extra,
-    the header line dropped or, when ``names_matter``, a name changed), a row
-    one value short or long, or a NaN or infinite value."""
+    """``text``, a CSV of a header and numeric rows, with one fault: the file
+    deleted (None), an empty file or one without data rows, a wrong header (a
+    name missing or extra, the header line dropped or, when ``names_matter``,
+    a name changed), a row one value short or long, or a NaN or infinite
+    value."""
     header, *rows = text.splitlines()
     names = header.split(",")
-    fault = draw(st.sampled_from(["empty", "header", "ragged", "non-finite"]))
+    fault = draw(st.sampled_from(["deleted", "empty", "header", "ragged",
+                                  "non-finite"]))
+    if fault == "deleted":
+        return None
     if fault == "empty":
         return draw(st.sampled_from(["", "\n", header + "\n"]))
     if fault == "header":
@@ -689,8 +741,11 @@ def test_predict_on_drawn_matrix_files_is_usage_error(workdir, fuzz_fit_dir,
         fit_dir = Path(tmp) / "fit"
         shutil.copytree(fuzz_fit_dir, fit_dir)
         path = fit_dir / f"{name}_mode{mode}.csv"
-        path.write_text(data.draw(_broken_csv(path.read_text(),
-                                              name != "covariates")))
+        text = data.draw(_broken_csv(path.read_text(), name != "covariates"))
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
         code, err = _run_cli(["predict", "--fit", str(fit_dir),
                               "--new-covariates", str(root / "x1.csv"),
                               "--out", str(Path(tmp) / "pred")])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from stefa.estimator import (DegenerateCoreError, EstimationError,
-                             RankExceedsSpanError,
+                             RankExceedsSpanError, StefaFit,
                              _check_ranks, calibrate, compress,
                              estimate_loadings, estimate_ranks, fit_stefa, hooi,
                              ipsvd_iterate, load_fit, save_fit,
                              subspace_distance)
-from stefa.sieve import BasisSpec, build_design, projector_apply
+from stefa.sieve import (BasisSpec, build_design, projector_apply,
+                         write_covariates_csv)
 from stefa.simlab import SimConfig, generate
 from stefa.tensor import (matricize, mode_product, multi_mode_product,
                           top_left_singular_vectors)
@@ -673,27 +675,40 @@ def test_estimate_ranks_zero_tensor():
 # persistence
 
 def test_save_load_roundtrip(tmp_path):
-    inst, designs = inspan_instance(seed=14)
-    # rank 1 writes one-column loading files, which must read back as columns
-    for ranks in [(2, 2, 2), (1, 1, 1)]:
+    inst, all_designs = inspan_instance(seed=14)
+    # covariates on every mode, on modes 1 and 3, or on none; rank 1 writes
+    # one-column loading files, which must read back as columns
+    cases = [(covered, ranks) for covered in [(0, 1, 2), (0, 2), ()]
+             for ranks in [(2, 2, 2), (1, 1, 1), None]]
+    for k, (covered, ranks) in enumerate(cases):
+        designs = [d if m in covered else None
+                   for m, d in enumerate(all_designs)]
         fit = fit_stefa(inst.observed, designs, ranks=ranks)
-        out = tmp_path / f"fit{ranks[0]}"
+        out = tmp_path / f"fit{k}"
         save_fit(fit, designs, out)
         back, back_designs = load_fit(out)
-        assert back.ranks == fit.ranks
         timings = fit.diagnostics["timings"]
         assert set(timings) == {"compress", "ranks", "iterate", "calibrate",
                                 "loadings"}
         assert min(timings.values()) >= 0.0
-        assert back.diagnostics["timings"] == timings
-        assert np.allclose(back.core, fit.core, atol=1e-10)
-        for m in range(3):
-            assert back.g_loadings[m].shape == fit.g_loadings[m].shape
-            assert np.allclose(back.g_loadings[m], fit.g_loadings[m], atol=1e-10)
-            assert np.allclose(back.a_loadings[m], fit.a_loadings[m], atol=1e-10)
-            assert np.allclose(back.sieve_coeffs[m], fit.sieve_coeffs[m],
-                               atol=1e-10)
-            assert np.allclose(back_designs[m].phi, designs[m].phi, atol=1e-10)
+        # every field reads back exactly, a sieve coefficient file exactly
+        # on the modes with a basis
+        for f in dataclasses.fields(StefaFit):
+            value, value_back = getattr(fit, f.name), getattr(back, f.name)
+            if f.name == "core":
+                assert np.array_equal(value_back, value)
+            elif f.name in ("g_loadings", "a_loadings", "gamma",
+                            "sieve_coeffs"):
+                assert len(value_back) == 3
+                for mat, mat_back in zip(value, value_back):
+                    assert (mat_back is None if mat is None
+                            else np.array_equal(mat_back, mat)), f.name
+            else:
+                assert value_back == value, f.name
+        for d, d_back in zip(designs, back_designs):
+            assert (d_back is None if d is None
+                    else np.array_equal(d_back.basis, d.basis)
+                    and np.array_equal(d_back.phi, d.phi))
 
 
 def test_load_fit_reads_matrix_files_in_the_savetxt_layout(tmp_path):
@@ -763,4 +778,23 @@ def test_load_fit_rejects_missing_keys_and_inconsistent_shapes(tmp_path):
     (out / "sieve_coeffs_mode2.csv").write_text("b1,b2\n0.5,0.25\n")
     with pytest.raises(ValueError, match=(rf"sieve_coeffs_mode2\.csv has shape "
                                           rf"\(1, 2\), not \({designs[1].n_basis}, 2\)")):
+        load_fit(out)
+
+
+def test_load_fit_reads_sieve_coeffs_exactly_on_modes_with_a_basis(tmp_path):
+    inst, designs = inspan_instance(seed=14)
+    designs[1] = None
+    fit = fit_stefa(inst.observed, designs, ranks=(2, 2, 2))
+    out = tmp_path / "fitdir"
+    save_fit(fit, designs, out)
+    assert not (out / "sieve_coeffs_mode2.csv").exists()
+    # a stray 7 x 5 file on the mode without a basis is not read
+    stray = np.arange(35.0).reshape(7, 5)
+    write_covariates_csv(out / "sieve_coeffs_mode2.csv", stray,
+                         [f"b{j + 1}" for j in range(5)])
+    back, _ = load_fit(out)
+    assert back.sieve_coeffs[1] is None
+    # a missing one on a mode with a basis fails as a missing file
+    (out / "sieve_coeffs_mode3.csv").unlink()
+    with pytest.raises(OSError, match=r"sieve_coeffs_mode3\.csv"):
         load_fit(out)
